@@ -41,7 +41,8 @@ with working_precision(128):
     print(f"difference         = {abs(rep.h.mid - closed_form)}")
 
 print()
-print("The pipeline route goes through the Hodge decomposition of the")
-print("period matrix and the strong-divisibility bookkeeping at the good")
-print("primes; the closed formula only knows the lattice covolume.  They")
-print("agree to the full working precision.")
+print("The pipeline route validates the period matrix (its determinant and")
+print("D_0 = det[F^0 | conj F^0] certified nonzero), checks strong")
+print("divisibility at the good primes and reads the metric off those")
+print("determinants; the closed formula only knows the lattice covolume.")
+print("They agree to the full working precision.")

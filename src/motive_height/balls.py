@@ -4,9 +4,9 @@ Every archimedean quantity in this package is a ball: an mpf midpoint plus a
 nonnegative mpf radius guaranteed to contain the true value.  Arithmetic
 propagates radii by interval rules and inflates them by a few ulp per
 operation to absorb rounding of the midpoint itself.  Operations between two
-exact balls (radius zero) are re-checked at higher precision and kept exact
-when the result is exactly representable, so identities like h(Q(0)) = 0
-come out with radius literally zero.
+exact balls (radius zero) are carried out exactly and kept exact when the
+exact result is representable at the working precision, so identities like
+h(Q(0)) = 0 come out with radius literally zero.
 
 Precision is process-global (it wraps mpmath's context): use
 ``working_precision(bits)`` around a computation.  The stated bit count is
@@ -68,18 +68,9 @@ def _ulp(x) -> mpf:
     return abs(x) * mpf(2) ** (4 - mp.prec)
 
 
-def _exact_result(op, *args):
-    """Recompute ``op(*args)`` with 48 extra bits; return it if unchanged."""
-    lo = op(*args)
-    saved = mp.prec
-    try:
-        mp.prec = saved + 48
-        hi = op(*args)
-    finally:
-        mp.prec = saved
-    if lo == hi:
-        return lo
-    return None
+def _representable(x) -> bool:
+    """x is stored without rounding at the working precision."""
+    return x.bc <= mp.prec
 
 
 Number = Union[int, Fraction, "RealBall"]
@@ -158,6 +149,14 @@ class RealBall:
     def is_exact(self) -> bool:
         return self.rad == 0
 
+    def exact_fraction(self) -> Fraction:
+        """The value of an exact ball as a Fraction."""
+        if self.rad != 0:
+            raise ValueError("not an exact ball")
+        man = int(self.mid.man) if self.mid >= 0 else -int(self.mid.man)
+        exp = int(self.mid.exp)
+        return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+
     def contains_zero(self) -> bool:
         return abs(self.mid) <= self.rad
 
@@ -182,8 +181,8 @@ class RealBall:
     def __add__(self, other):
         o = _coerce(other)
         if self.rad == 0 and o.rad == 0:
-            exact = _exact_result(lambda a, b: a + b, self.mid, o.mid)
-            if exact is not None:
+            exact = mp.fadd(self.mid, o.mid, exact=True)
+            if _representable(exact):
                 return RealBall(exact, 0)
         mid = self.mid + o.mid
         return RealBall(mid, self.rad + o.rad + _ulp(mid))
@@ -202,8 +201,8 @@ class RealBall:
     def __mul__(self, other):
         o = _coerce(other)
         if self.rad == 0 and o.rad == 0:
-            exact = _exact_result(lambda a, b: a * b, self.mid, o.mid)
-            if exact is not None:
+            exact = mp.fmul(self.mid, o.mid, exact=True)
+            if _representable(exact):
                 return RealBall(exact, 0)
         mid = self.mid * o.mid
         rad = (abs(self.mid) * o.rad + abs(o.mid) * self.rad
@@ -216,11 +215,10 @@ class RealBall:
         o = _coerce(other)
         if o.contains_zero():
             raise PrecisionExhausted("division by a ball containing zero")
-        if self.rad == 0 and o.rad == 0:
-            exact = _exact_result(lambda a, b: a / b, self.mid, o.mid)
-            if exact is not None:
-                return RealBall(exact, 0)
         mid = self.mid / o.mid
+        if self.rad == 0 and o.rad == 0 and \
+                mp.fmul(mid, o.mid, exact=True) == self.mid:
+            return RealBall(mid, 0)  # the rounded quotient is the exact one
         # |a/b - a0/b0| <= (|a0| rb + |b0| ra) / (|b0| (|b0| - rb))
         denom = abs(o.mid) * (abs(o.mid) - o.rad)
         rad = (abs(self.mid) * o.rad + abs(o.mid) * self.rad) / denom + _ulp(mid)
@@ -253,10 +251,8 @@ class RealBall:
         shi = mp.sqrt(hi)
         mid = (slo + shi) / 2
         rad = (shi - slo) / 2 + _ulp(mid)
-        if self.rad == 0 and lo >= 0:
-            exact = _exact_result(mp.sqrt, self.mid)
-            if exact is not None and exact * exact == self.mid:
-                return RealBall(exact, 0)
+        if self.rad == 0 and mp.fmul(shi, shi, exact=True) == self.mid:
+            return RealBall(shi, 0)
         return RealBall(mid, rad)
 
     def log(self) -> "RealBall":
@@ -293,22 +289,30 @@ def format_ball(b: RealBall, digits: int = 30) -> str:
 
 
 class ComplexBall:
-    """A complex number enclosed in a rectangle: independent re/im balls."""
+    """A complex number enclosed in a rectangle: independent re/im balls.
 
-    __slots__ = ("re", "im")
+    A ball made from exact data, a Gaussian rational times a power of
+    2*pi*i, also remembers that value in ``exact``: a map k -> (re, im) of
+    Fractions meaning sum_k (re + i im) (2 pi i)^k.  Exact questions about
+    input data, such as whether a determinant vanishes, can then be decided
+    exactly even when the value is not a binary fraction.
+    """
 
-    def __init__(self, re, im=None):
+    __slots__ = ("re", "im", "exact")
+
+    def __init__(self, re, im=None, exact=None):
         self.re = re if isinstance(re, RealBall) else _coerce(re)
         if im is None:
             im = RealBall.zero()
         self.im = im if isinstance(im, RealBall) else _coerce(im)
+        self.exact = exact
 
     # ---- constructors ----
 
     @classmethod
     def from_rationals(cls, re, im=0) -> "ComplexBall":
-        return cls(RealBall.from_fraction(Fraction(re)),
-                   RealBall.from_fraction(Fraction(im)))
+        re, im = Fraction(re), Fraction(im)
+        return cls(RealBall.from_fraction(re), RealBall.from_fraction(im), {0: (re, im)})
 
     @classmethod
     def zero(cls) -> "ComplexBall":
@@ -326,12 +330,10 @@ class ComplexBall:
     def tpi_power(cls, k: int, scale: Fraction = Fraction(1)) -> "ComplexBall":
         """scale * (2*pi*i)**k, for exact rational-in-(2*pi*i) data."""
         z = cls.from_rationals(scale)
-        return z * cls.two_pi_i() ** k
-
-    @classmethod
-    def from_mpc(cls, z, rad=0) -> "ComplexBall":
-        r = mpf(rad)
-        return cls(RealBall(z.real, r), RealBall(z.imag, r))
+        if k:
+            z = z * cls.two_pi_i() ** k
+            z.exact = {k: (Fraction(scale), Fraction(0))}
+        return z
 
     # ---- predicates ----
 
@@ -345,8 +347,14 @@ class ComplexBall:
         from mpmath import mpc
         return mpc(self.re.mid, self.im.mid)
 
-    def max_rad(self) -> mpf:
-        return max(self.re.rad, self.im.rad)
+    def exact_value(self) -> dict[int, tuple[Fraction, Fraction]] | None:
+        """The value as a map k -> (re, im) of Fractions, meaning
+        sum_k (re + i im) (2 pi i)^k, when it is known exactly, else None."""
+        if self.exact is not None:
+            return self.exact
+        if self.is_exact():
+            return {0: (self.re.exact_fraction(), self.im.exact_fraction())}
+        return None
 
     # ---- arithmetic ----
 
@@ -396,7 +404,10 @@ class ComplexBall:
         return result
 
     def conj(self) -> "ComplexBall":
-        return ComplexBall(self.re, -self.im)
+        # conj((a + b i) (2 pi i)^k) = (-1)^k (a - b i) (2 pi i)^k
+        q = self.exact
+        return ComplexBall(self.re, -self.im, None if q is None else {
+            k: (-a, b) if k % 2 else (a, -b) for k, (a, b) in q.items()})
 
     def abs_ball(self) -> RealBall:
         return (self.re * self.re + self.im * self.im).sqrt()
@@ -445,14 +456,6 @@ def ball_mat_mul(a: BallMatrix, b: BallMatrix) -> BallMatrix:
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
-
-
-def ball_conj(a: BallMatrix) -> BallMatrix:
-    return tuple(tuple(x.conj() for x in row) for row in a)
-
-
-def ball_hstack(a: BallMatrix, b: BallMatrix) -> BallMatrix:
-    return tuple(ra + rb for ra, rb in zip(a, b))
 
 
 def _pivot_row(col: Sequence[ComplexBall], start: int) -> int:

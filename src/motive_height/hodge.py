@@ -3,7 +3,7 @@
 A weight-w pure structure here is the integral lattice Z^n (implicit
 standard basis) together with a descending filtration F on C^n.  The
 filtration is stored through an *adapted basis*: an invertible complex
-matrix whose j-th column carries an integer level l(j), weakly increasing
+matrix P whose j-th column carries an integer level l(j), weakly increasing
 in j, with F^r spanned by the columns of level >= r.  The level-r columns
 double as the reference generators of the graded piece gr^r = F^r/F^{r+1};
 the metric of any element of the determinant line
@@ -12,32 +12,33 @@ the metric of any element of the determinant line
 
 is measured against the tensor product of these reference wedges.
 
-The metric itself follows the construction: pick bases b_r of the pieces
-H^{r,w-r} = F^r  intersect  conj(F^{w-r}); for s the tensor of their wedges,
-s (x) conj(s) is z times the integral generator of (det Z^n)^{x w}, and
-|s| = |z|^{1/2}.  Concretely z = det(B)^w * prod_r lambda_r^{w-r}, where B
-assembles all the b_r and lambda_r is the wedge coefficient of conj(b_{w-r})
-on b_r.  The metric of a target expressed on the gr references then needs
-the transport coefficients mu_r (wedge coefficient of the level-r reference
-columns on b_r modulo F^{r+1}); all of delta, lambda, mu are computed in
-ball arithmetic, so the output carries a certified radius.
+Everything is read off the opposition determinants
 
-Basis choices inside the computation come from singular-value thresholding
-of stacked orthonormalized bases, run on midpoints at elevated precision;
-the threshold is 2^(-precision/2) and an unresolvable singular value near
-the threshold raises PrecisionExhausted rather than guessing.  The leftover
-first-order uncertainty of those choices is folded into the reported radius
-through the measured singular defects and the condition of B.
+    D_r = det[ F^r columns | conj(F^{w+1-r}) columns ],   a <= r < b,
+
+for the level window [a, b) (D_a = det P).  The filtration is pure of
+weight w exactly when F^r and conj(F^{w+1-r}) are opposed (Deligne,
+Theorie de Hodge II, 1.2): dim F^r + dim F^{w+1-r} = n for every r, an
+integer test, and every D_r is nonzero.  Writing L(H) as the telescoping
+(det H)^{x a} (x) tensor_{a<r<b} det F^r and pairing each det F^r with
+conj(det F^{w+1-r}) gives the metric of the reference generator in closed
+form,
+
+    |ref| = |det P|^a * prod_{a<r<b} |D_r|^{1/2}.
+
+The D_r are ball determinants, so the metric carries a certified radius by
+plain ball propagation.  A D_r whose ball contains zero is decided exactly
+when every entry of its matrix is known exactly (an exact ball, or a ball
+made from a Gaussian rational times a power of 2 pi i): an exactly
+vanishing D_r means the structure is not pure.  Otherwise the working precision cannot tell, and
+PrecisionExhausted is raised.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
-
-from mpmath import mp, mpf, matrix as mp_matrix, svd as mp_svd
+from typing import Mapping, Sequence, Union
 
 from .balls import (
     BallMatrix,
@@ -46,11 +47,11 @@ from .balls import (
     RealBall,
     ZeroVector,
     ball_det,
-    ball_hstack,
     ball_lu_solve,
     ball_matrix,
     current_bits,
 )
+from .rational import QMatrix
 
 
 class HodgeStructure:
@@ -69,46 +70,6 @@ class HodgeStructure:
         if len(self.basis) != self.n or any(len(r) != self.n for r in self.basis):
             raise ValueError("adapted basis must be square of size n")
 
-    # ---- construction ----
-
-    @classmethod
-    def from_graded(cls, weight: int, levels: Sequence[int], basis) -> "HodgeStructure":
-        return cls(weight, levels, basis)
-
-    @classmethod
-    def from_filtration(cls, weight: int, spans: Mapping[int, BallMatrix],
-                        n: int) -> "HodgeStructure":
-        """Adapt per-step spanning matrices {r: columns spanning F^r}.
-
-        Checks nesting (each F^{r+1} column lies in the span of F^r within
-        tolerance) while greedily extending a basis from the deepest step
-        upward.  Exact adapted data should use ``from_graded`` directly.
-        """
-        steps = sorted((r for r, m in spans.items() if m and len(m[0])), reverse=True)
-        if not steps:
-            raise ValueError("empty filtration")
-        chosen: list = []
-        chosen_levels: list[int] = []
-        tol = mpf(2) ** (-(current_bits() // 2))
-        for r in steps:
-            span = ball_matrix(spans[r])
-            cols = [tuple(span[i][j] for i in range(n)) for j in range(len(span[0]))]
-            for c in cols:
-                if _independent(chosen + [c], n):
-                    chosen.append(c)
-                    chosen_levels.append(r)
-                elif chosen and not _in_span(chosen, c, tol):
-                    raise ValueError(
-                        f"filtration step F^{r} is not nested in the deeper steps")
-            target_dim = len(cols)
-            if sum(1 for l in chosen_levels if l >= r) != target_dim:
-                raise ValueError(f"could not adapt a basis for F^{r}")
-        if len(chosen) != n:
-            raise ValueError("filtration does not exhaust C^n at its lowest step")
-        order = sorted(range(n), key=lambda j: chosen_levels[j])
-        basis = tuple(tuple(chosen[j][i] for j in order) for i in range(n))
-        return cls(weight, [chosen_levels[j] for j in order], basis)
-
     # ---- shape ----
 
     def window(self) -> tuple[int, int]:
@@ -120,129 +81,72 @@ class HodgeStructure:
             out[l] = out.get(l, 0) + 1
         return out
 
-    def block(self, r: int) -> list[int]:
-        return [j for j, l in enumerate(self.levels) if l == r]
+    def filtration_dim(self, r: int) -> int:
+        return sum(1 for l in self.levels if l >= r)
 
     def filtration_columns(self, r: int) -> list[tuple]:
         return [tuple(self.basis[i][j] for i in range(self.n))
                 for j, l in enumerate(self.levels) if l >= r]
-
-    def graded_reference_columns(self, r: int) -> list[tuple]:
-        return [tuple(self.basis[i][j] for i in range(self.n))
-                for j in self.block(r)]
 
     def __repr__(self):
         return f"HodgeStructure(w={self.weight}, levels={self.levels})"
 
 
 # ---------------------------------------------------------------------------
-# internal numeric helpers (midpoint computations at elevated precision)
+# the opposition determinants
 # ---------------------------------------------------------------------------
 
-def _cols_to_mp(cols: Sequence[tuple]):
-    n = len(cols[0])
-    a = mp_matrix(n, len(cols))
-    for j, c in enumerate(cols):
-        for i in range(n):
-            a[i, j] = c[i].mid_complex()
-    return a
+def _opposition_matrix(h: HodgeStructure, r: int) -> BallMatrix:
+    """[F^r | conj F^{w+1-r}]; square once the dimension test has passed."""
+    cols = h.filtration_columns(r) + [
+        tuple(x.conj() for x in c) for c in h.filtration_columns(h.weight + 1 - r)]
+    return tuple(tuple(c[i] for c in cols) for i in range(h.n))
 
 
-def _independent(cols: Sequence[tuple], n: int) -> bool:
-    if len(cols) > n:
+def _exactly_singular(m: BallMatrix) -> bool:
+    """True when every entry is known exactly and det m is exactly zero.
+
+    Exact entries are Laurent polynomials in t = 2 pi i over Q(i), so det m
+    is one too, of degree span at most n (kmax - kmin).  As t is
+    transcendental, det m = 0 exactly when that polynomial vanishes
+    identically, which it does iff it vanishes at the integers
+    1 .. n (kmax - kmin) + 1.  Each value is a determinant over Q(i), and
+    det (A + iB) = 0 iff the rational det [[A, -B], [B, A]] = |det|^2 is.
+    """
+    values = [[x.exact_value() for x in row] for row in m]
+    if any(v is None for row in values for v in row):
         return False
-    a = _cols_to_mp(cols)
-    sigmas = mp_svd(a, compute_uv=False)
-    tau = mpf(2) ** (-(current_bits() // 2))
-    scale = max((abs(a[i, j]) for i in range(a.rows) for j in range(a.cols)),
-                default=mpf(0))
-    return bool(sigmas[sigmas.rows - 1] > tau * max(scale, mpf(1)))
+    powers = [k for row in values for v in row for k in v] or [0]
+    span = len(m) * (max(powers) - min(powers))
+    for t in range(1, span + 2):
+        re, im = ([[sum(c[part] * Fraction(t) ** k for k, c in v.items()) for v in row]
+                   for row in values] for part in (0, 1))
+        real_form = QMatrix([a + [-y for y in b] for a, b in zip(re, im)]
+                            + [b + a for a, b in zip(re, im)])
+        if real_form.det() != 0:
+            return False
+    return True
 
 
-def _in_span(cols: Sequence[tuple], c: tuple, tol) -> bool:
-    a = _cols_to_mp(cols)
-    v = _cols_to_mp([c])
-    u, s, vt = mp_svd(a)
-    proj = u * (u.H * v)
-    resid = max(abs(proj[i, 0] - v[i, 0]) for i in range(len(c)))
-    scale = max(max(abs(v[i, 0]) for i in range(len(c))), mpf(1))
-    return bool(resid <= tol * scale)
-
-
-def _orthonormal_columns(a):
-    u, s, vt = mp_svd(a)
-    keep = sum(1 for i in range(s.rows) if s[i] > mpf(2) ** (-mp.prec // 2))
-    out = mp_matrix(a.rows, keep)
-    for i in range(a.rows):
-        for j in range(keep):
-            out[i, j] = u[i, j]
-    return out
-
-
-def _sigma_min(cols: Sequence[tuple]) -> mpf:
-    sig = mp_svd(_cols_to_mp(cols), compute_uv=False)
-    return sig[sig.rows - 1]
-
-
-@dataclass
-class _Piece:
-    """Chosen basis of one H^{r,w-r} plus its resolution defect."""
-    r: int
-    columns: list
-    defect: mpf
-
-
-def _intersect_subspaces(u_cols: Sequence[tuple], w_cols: Sequence[tuple],
-                         n: int, r: int) -> _Piece:
-    """Basis of span(u) intersect span(w) by SVD nullspace thresholding."""
-    input_rad = mpf(0)
-    for c in list(u_cols) + list(w_cols):
-        for x in c:
-            input_rad = max(input_rad, x.max_rad())
-    if not u_cols or not w_cols:
-        return _Piece(r, [], input_rad)
-    k, m = len(u_cols), len(w_cols)
-    if k == n:
-        return _Piece(r, list(w_cols), mpf(0))
-    if m == n:
-        return _Piece(r, list(u_cols), mpf(0))
-
-    tau = mpf(2) ** (-(current_bits() // 2))
-    saved = mp.prec
-    try:
-        mp.prec = 2 * saved + 64
-        uo = _orthonormal_columns(_cols_to_mp(u_cols))
-        wo = _orthonormal_columns(_cols_to_mp(w_cols))
-        stacked = mp_matrix(n, uo.cols + wo.cols)
-        for i in range(n):
-            for j in range(uo.cols):
-                stacked[i, j] = uo[i, j]
-            for j in range(wo.cols):
-                stacked[i, uo.cols + j] = -wo[i, j]
-        usv = mp_svd(stacked, full_matrices=True)
-        _, sig, vmat = usv
-        c = uo.cols + wo.cols
-        sigmas = [sig[i] if i < sig.rows else mpf(0) for i in range(c)]
-        band_lo, band_hi = tau / 256, tau * 256
-        if any(band_lo < s < band_hi for s in sigmas):
-            raise PrecisionExhausted(
-                f"subspace intersection at level {r} has a singular value in "
-                f"the ambiguity band around 2^-{current_bits() // 2}")
-        null_idx = [i for i, s in enumerate(sigmas) if s <= band_lo]
-        vectors = []
-        worst = input_rad
-        for i in null_idx:
-            x = [vmat[i, j].conjugate() for j in range(uo.cols)]
-            v = [sum(uo[t, j] * x[j] for j in range(uo.cols)) for t in range(n)]
-            vectors.append(v)
-            worst = max(worst, sigmas[i])
-    finally:
-        mp.prec = saved
-    # rounding the chosen vectors back to working precision adds one more ulp
-    # of displacement from the true intersection
-    worst = worst + mpf(2) ** (4 - mp.prec)
-    cols = [tuple(ComplexBall.from_mpc(+z) for z in v) for v in vectors]
-    return _Piece(r, cols, worst)
+def _opposition_dets(h: HodgeStructure) -> dict[int, ComplexBall]:
+    """D_r for a <= r < b, cached per precision; an exactly vanishing D_r is
+    an exact zero.  Requires the dimension test of ``purity_check``."""
+    key = ("dets", current_bits())
+    if key not in h._cache:
+        lo, hi = h.window()
+        dets = {}
+        for r in range(lo, hi):
+            m = _opposition_matrix(h, r)
+            try:
+                dets[r] = ball_det(m)
+            except PrecisionExhausted:
+                if not _exactly_singular(m):
+                    raise PrecisionExhausted(
+                        f"D_{r} = det[F^{r} | conj F^{h.weight + 1 - r}] cannot be "
+                        f"certified nonzero at {current_bits()} bits") from None
+                dets[r] = ComplexBall.zero()
+        h._cache[key] = dets
+    return h._cache[key]
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +157,45 @@ def _intersect_subspaces(u_cols: Sequence[tuple], w_cols: Sequence[tuple],
 class PurityReport:
     ok: bool
     dims: dict[int, int]
-    dimension_defect: int
-    sigma_min: Optional[mpf]
-    condition: Optional[mpf]
     messages: list[str] = field(default_factory=list)
+
+
+def purity_check(h: HodgeStructure) -> PurityReport:
+    """Decide whether F is a pure weight-w Hodge filtration.
+
+    First the exact test dim F^r + dim F^{w+1-r} = n (for a <= r <= b, which
+    covers every r), then D_r != 0 for a <= r < b.  Raises PrecisionExhausted
+    when a D_r ball contains zero and its entries are not all known exactly.
+    """
+    dims = h.dims()
+    if h.n == 0:
+        return PurityReport(True, dims, ["rank zero: vacuous"])
+    lo, hi = h.window()
+    w = h.weight
+    messages = []
+    for r in range(lo, hi + 1):
+        total = h.filtration_dim(r) + h.filtration_dim(w + 1 - r)
+        if total != h.n:
+            messages.append(f"dim F^{r} + dim F^{w + 1 - r} = {total}, expected {h.n}")
+    if not messages:
+        for r, d in _opposition_dets(h).items():
+            if d.contains_zero():
+                messages.append("the adapted basis is singular" if r == lo else
+                                f"F^{r} meets conj F^{w + 1 - r}: D_{r} = 0")
+    return PurityReport(not messages, dims, messages)
+
+
+def _require_pure(h: HodgeStructure) -> None:
+    report = purity_check(h)
+    if not report.ok:
+        raise ValueError(f"not a pure Hodge structure: {report.messages}")
+
+
+@dataclass
+class _Piece:
+    """Basis of one H^{r,w-r}."""
+    r: int
+    columns: list
 
 
 @dataclass
@@ -267,134 +206,33 @@ class HodgeDecomposition:
     def dims(self) -> dict[int, int]:
         return {r: len(p.columns) for r, p in self.pieces.items() if p.columns}
 
-    def basis_columns(self) -> list[tuple]:
-        cols = []
-        for r in sorted(self.pieces):
-            cols.extend(self.pieces[r].columns)
-        return cols
 
+def hodge_decompose(h: HodgeStructure) -> HodgeDecomposition:
+    """Bases of the pieces H^{r,w-r} = F^r  intersect  conj(F^{w-r}).
 
-def _raw_decompose(h: HodgeStructure) -> HodgeDecomposition:
-    key = ("raw", current_bits())
-    if key in h._cache:
-        return h._cache[key]
+    For r < b - 1, C^n = F^{r+1} (+) conj(F^{w-r}) because D_{r+1} != 0, so
+    projecting the level-r columns onto conj(F^{w-r}) along F^{r+1} gives a
+    basis of H^{r,w-r}: one ball solve against the D_{r+1} matrix.  The top
+    piece is F^{b-1} itself.  Requires purity.
+    """
+    _require_pure(h)
     lo, hi = h.window()
-    w = h.weight
     pieces: dict[int, _Piece] = {}
     for r in range(lo, hi):
-        f_r = h.filtration_columns(r)
-        if w - r < lo:
-            # conj(F^{w-r}) is everything; the standard basis is an exact choice
-            fbar = [tuple(ComplexBall.one() if i == j else ComplexBall.zero()
-                          for i in range(h.n)) for j in range(h.n)]
-        else:
-            fbar = [tuple(x.conj() for x in c) for c in h.filtration_columns(w - r)]
-        pieces[r] = _intersect_subspaces(f_r, fbar, h.n, r)
-    dec = HodgeDecomposition(w, pieces)
-    h._cache[key] = dec
-    return dec
-
-
-def purity_check(h: HodgeStructure, cond_threshold_bits: int | None = None) -> PurityReport:
-    """Verify H_C decomposes as the direct sum of the F / conj-F intersections.
-
-    Passes when the intersection dimensions sum to n, are conjugate-symmetric,
-    and the assembled basis is invertible with condition number below
-    2^cond_threshold_bits (default: half the working precision).
-    """
-    if h.n == 0:
-        return PurityReport(True, {}, 0, None, None, ["rank zero: vacuous"])
-    dec = _raw_decompose(h)
-    dims = dec.dims()
-    total = sum(dims.values())
-    messages = []
-    defect = abs(h.n - total)
-    if defect:
-        messages.append(f"piece dimensions sum to {total}, expected {h.n}")
-    for r, d in dims.items():
-        if dims.get(h.weight - r, 0) != d:
-            messages.append(f"conjugate asymmetry: h({r}) = {d} "
-                            f"but h({h.weight - r}) = {dims.get(h.weight - r, 0)}")
-    expected = h.dims()
-    if not messages and dims != expected:
-        messages.append(f"piece dimensions {dims} disagree with filtration jumps {expected}")
-    sigma_min = condition = None
-    if not messages:
-        cols = dec.basis_columns()
-        a = _cols_to_mp(cols)
-        sig = mp_svd(a, compute_uv=False)
-        sigma_min, sigma_max = sig[sig.rows - 1], sig[0]
-        condition = sigma_max / sigma_min if sigma_min > 0 else mpf("inf")
-        bits = cond_threshold_bits if cond_threshold_bits is not None else current_bits() // 2
-        if not sigma_min > 0 or condition > mpf(2) ** bits:
-            messages.append(f"assembled decomposition is ill-conditioned "
-                            f"(condition ~ {condition})")
-    return PurityReport(not messages, dims, defect, sigma_min, condition, messages)
-
-
-def hodge_decompose(h: HodgeStructure, rng: random.Random | None = None) -> HodgeDecomposition:
-    """Bases of the pieces H^{r,w-r}; requires purity_check to pass.
-
-    ``rng`` optionally remixes each piece basis by a random invertible
-    matrix: the line metric must not depend on these internal choices.
-    """
-    report = purity_check(h)
-    if not report.ok:
-        raise ValueError(f"not a pure Hodge structure: {report.messages}")
-    dec = _raw_decompose(h)
-    verify_key = ("verified", current_bits())
-    if not h._cache.get(verify_key):
-        _verify_reconstruction(h, dec)
-        h._cache[verify_key] = True
-    if rng is not None:
-        twirled: dict[int, _Piece] = {}
-        for r, piece in dec.pieces.items():
-            k = len(piece.columns)
-            if k == 0:
-                twirled[r] = piece
-                continue
-            mix = _random_invertible(rng, k)
-            cols = piece.columns
-            growth = max(sum(mix[t][j].abs_ball().mag_upper() for t in range(k))
-                         for j in range(k))
-            twirled[r] = _Piece(r, [
-                tuple(sum((cols[t][i] * mix[t][j] for t in range(k)),
-                          start=ComplexBall.zero())
-                      for i in range(h.n))
-                for j in range(k)], piece.defect * growth)
-        return HodgeDecomposition(dec.weight, twirled)
-    return dec
-
-
-def _random_invertible(rng: random.Random, k: int):
-    while True:
-        m = [[ComplexBall.from_rationals(Fraction(rng.randint(-3, 3)),
-                                         Fraction(rng.randint(-3, 3)))
-              for _ in range(k)] for _ in range(k)]
-        try:
-            ball_det(ball_matrix(m))
-            return m
-        except PrecisionExhausted:
+        refs = [tuple(h.basis[i][j] for i in range(h.n))
+                for j, l in enumerate(h.levels) if l == r]
+        if r == hi - 1 or not refs:
+            pieces[r] = _Piece(r, refs)
             continue
-
-
-def _verify_reconstruction(h: HodgeStructure, dec: HodgeDecomposition) -> None:
-    # F^r must be recovered as the span of the pieces with r' >= r.
-    tol = mpf(2) ** (-(current_bits() // 2))
-    cols = dec.basis_columns()
-    order = []
-    for r in sorted(dec.pieces):
-        order.extend([r] * len(dec.pieces[r].columns))
-    b = ball_matrix([[cols[j][i] for j in range(len(cols))] for i in range(h.n)])
-    lo, hi = h.window()
-    for r in range(lo, hi):
-        for c in h.filtration_columns(r):
-            coords = ball_lu_solve(b, ball_matrix([[x] for x in c]))
-            scale = max(max(x.abs_ball().mag_upper() for x in c), mpf(1))
-            for j, rj in enumerate(order):
-                if rj < r and coords[j][0].abs_ball().mag_lower() > tol * scale:
-                    raise PrecisionExhausted(
-                        f"reconstruction defect: F^{r} leaks into the level-{rj} piece")
+        m = _opposition_matrix(h, r + 1)
+        k = h.filtration_dim(r + 1)
+        coords = ball_lu_solve(m, tuple(tuple(c[i] for c in refs) for i in range(h.n)))
+        pieces[r] = _Piece(r, [
+            tuple(sum((coords[t][j] * m[i][t] for t in range(k, h.n)),
+                      start=ComplexBall.zero())
+                  for i in range(h.n))
+            for j in range(len(refs))])
+    return HodgeDecomposition(h.weight, pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -415,15 +253,14 @@ def _as_complex(c) -> ComplexBall:
     raise TypeError(f"bad coordinate {c!r}")
 
 
-def line_metric(h: HodgeStructure, target: TargetCoords = 1,
-                decomposition: HodgeDecomposition | None = None) -> RealBall:
+def line_metric(h: HodgeStructure, target: TargetCoords = 1) -> RealBall:
     """Canonical metric of an element of L(H) = tensor_r (det gr^r)^{x r}.
 
     ``target`` is either a single scalar c (the element c times the tensor
     of the gr^r reference wedges) or a map r -> c_r meaning
-    tensor_r (c_r * ref_r)^{x r}.  Returns |target| as a certified ball.
+    tensor_r (c_r * ref_r)^{x r}.  Returns
+    |target| = coeff * |det P|^a * prod_{a<r<b} |D_r|^{1/2} as a certified ball.
     """
-    w = h.weight
     dims = h.dims()
     coeff = RealBall.one()
     if isinstance(target, Mapping):
@@ -442,60 +279,14 @@ def line_metric(h: HodgeStructure, target: TargetCoords = 1,
     if h.n == 0:
         return coeff
 
-    dec = decomposition if decomposition is not None else hodge_decompose(h)
-    cols = dec.basis_columns()
-    order = []
-    for r in sorted(dec.pieces):
-        order.extend([r] * len(dec.pieces[r].columns))
-    b = ball_matrix([[cols[j][i] for j in range(len(cols))] for i in range(h.n)])
-    delta = ball_det(b)
-
-    total_defect = mpf(0)
-    acc = delta.abs_ball() ** w
-    for r in sorted(dec.pieces):
-        piece = dec.pieces[r]
-        if not piece.columns:
-            continue
-        total_defect += piece.defect
-        partner = dec.pieces.get(w - r)
-        if partner is None or len(partner.columns) != len(piece.columns):
-            raise ValueError("conjugate-asymmetric decomposition")
-        conj_cols = [tuple(x.conj() for x in c) for c in partner.columns]
-        lam = _wedge_coefficient(b, order, r, conj_cols, h.n)
-        acc = acc * lam.abs_ball() ** (w - r)
-    metric_s = acc.sqrt()
-
-    transport = RealBall.one()
-    for r in sorted(set(h.levels)):
-        if r == 0:
-            continue
-        refs = h.graded_reference_columns(r)
-        mu = _wedge_coefficient(b, order, r, refs, h.n)
-        transport = transport * mu.abs_ball() ** r
-
-    result = coeff * transport * metric_s
-
-    # First-order slack for the basis-choice defect measured during the
-    # intersections, scaled by the conditioning of the assembled basis.
-    if total_defect > 0:
-        sigma = _sigma_min(cols)
-        if not sigma > 0:
-            raise PrecisionExhausted("degenerate decomposition basis")
-        slack = result.mag_upper() * total_defect * (4 * h.n) / sigma
-        result = RealBall(result.mid, result.rad + slack)
-    return result
-
-
-def _wedge_coefficient(b: BallMatrix, order: list[int], r: int,
-                       cols: Sequence[tuple], n: int) -> ComplexBall:
-    """det of the level-r block of the coordinates of ``cols`` in basis b."""
-    rhs = ball_matrix([[c[i] for c in cols] for i in range(n)])
-    coords = ball_lu_solve(b, rhs)
-    rows = [j for j, rj in enumerate(order) if rj == r]
-    if len(rows) != len(cols):
-        raise ValueError("block size mismatch in wedge coefficient")
-    block = tuple(tuple(coords[i][j] for j in range(len(cols))) for i in rows)
-    return ball_det(block)
+    _require_pure(h)
+    dets = _opposition_dets(h)
+    lo, _ = h.window()
+    paired = RealBall.one()
+    for r, d in dets.items():
+        if r > lo:
+            paired = paired * d.abs_ball()
+    return coeff * dets[lo].abs_ball() ** lo * paired.sqrt()
 
 
 def direct_sum(a: HodgeStructure, b: HodgeStructure) -> HodgeStructure:

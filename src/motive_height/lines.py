@@ -145,10 +145,6 @@ class MetrizedLine:
         if self.lattice_scalar <= 0:
             raise ValueError("lattice_scalar must be positive")
 
-    @classmethod
-    def trivial(cls) -> "MetrizedLine":
-        return cls("1", Fraction(1), RealBall.one())
-
     def metric(self) -> RealBall:
         if self.metric_ref is None:
             raise MissingMetric(f"line {self.label!r} carries no metric")

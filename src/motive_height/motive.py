@@ -258,25 +258,14 @@ def _window_for(m: MotiveData, window) -> tuple[int, int]:
     return (a, b)
 
 
-def assemble_height_line(m: MotiveData, window=None,
-                         simple_formula: bool = False) -> MetrizedLine:
-    """The metrized line L(M) with its windowed integral structure.
-
-    ``simple_formula`` switches to the telescoping product
-    tensor_r (L_r^{-1} (x) L_{r+1})^{x r}; inside this finite data model the
-    two normalizations agree because L_a is canonically trivial.
-    """
+def assemble_height_line(m: MotiveData, window=None) -> MetrizedLine:
+    """The metrized line L(M) with its windowed integral structure."""
     _require_valid(m)
     a, b = _window_for(m, window)
     g = {i: global_lattice(m, i) for i in range(a, b + 1)}
-    if simple_formula:
-        scalar = Fraction(1)
-        for r in range(a, b):
-            scalar *= (g[r + 1] / g[r]) ** r
-    else:
-        scalar = g[b] ** (b - 1)
-        for i in range(a + 1, b):
-            scalar /= g[i]
+    scalar = g[b] ** (b - 1)
+    for i in range(a + 1, b):
+        scalar /= g[i]
     metric = line_metric(m.hodge_structure(), 1) if m.rank else RealBall.one()
     return MetrizedLine(f"L({m.label})", scalar, metric)
 

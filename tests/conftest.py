@@ -2,8 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from mpmath import mp
 
-from motive_height.balls import ComplexBall, PrecisionExhausted, ball_det, ball_matrix
+from motive_height import balls
+from motive_height.balls import (
+    ComplexBall,
+    PrecisionExhausted,
+    RealBall,
+    ball_det,
+    ball_mat_mul,
+    ball_matrix,
+)
 from motive_height.hodge import HodgeStructure
 from motive_height.rational import QMatrix
 
@@ -121,6 +130,36 @@ def random_pure_hodge(rng: random.Random, weight: int | None = None,
     raise RuntimeError("could not build an invertible random Hodge structure")
 
 
+def random_adapted_rebase(rng: random.Random, h: HodgeStructure):
+    """Rebase the adapted basis: P -> P R for a random Gaussian-rational R with
+    R[i][j] = 0 unless level(i) >= level(j), so every F^r is preserved and
+    levels mix with themselves and with higher levels.
+
+    Returns (rebased structure, prod_r |det R_rr|^r): the reference
+    generator of L(H) is multiplied by prod_r (det R_rr)^r.
+    """
+    levels = h.levels
+
+    def entry():
+        return ComplexBall.from_rationals(
+            Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+            Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+
+    while True:
+        r_mat = [[entry() if li >= lj else ComplexBall.zero() for lj in levels]
+                 for li in levels]
+        factor = RealBall.one()
+        try:
+            for r in sorted(set(levels)):
+                block = [j for j, l in enumerate(levels) if l == r]
+                d = ball_det(tuple(tuple(r_mat[i][j] for j in block) for i in block))
+                factor = factor * d.abs_ball() ** r
+        except PrecisionExhausted:
+            continue
+        rebased = HodgeStructure(h.weight, levels, ball_mat_mul(h.basis, ball_matrix(r_mat)))
+        return rebased, factor
+
+
 # ---------------------------------------------------------------------------
 # Fontaine-Laffaille instance generators
 # ---------------------------------------------------------------------------
@@ -228,3 +267,13 @@ def random_motive(rng: random.Random, weight=None, dims=None, primes=(),
 @pytest.fixture
 def rng():
     return random.Random(20260808)
+
+
+@pytest.fixture(autouse=True)
+def restore_precision():
+    """Start and leave every test at the same precision state.  Some tests
+    set mp.prec or mp.dps directly; mp.dps follows mp.prec, so restoring
+    mp.prec and the ball precision restores all three."""
+    saved = (balls._bits, mp.prec)
+    yield
+    balls._bits, mp.prec = saved

@@ -31,10 +31,11 @@ from motive_height.motive import (
     validate,
 )
 from motive_height.rational import QMatrix
-from motive_height.hodge import direct_sum as hodge_direct_sum, hodge_decompose, line_metric
+from motive_height.hodge import direct_sum as hodge_direct_sum, line_metric
 
 from conftest import (
     block_projection_spec,
+    random_adapted_rebase,
     random_fl_module,
     random_motive,
     random_pure_hodge,
@@ -241,20 +242,18 @@ def test_criterion_6_metric_properties():
     budget, t0 = 30.0, time.monotonic()
     rng = random.Random(666)
     ok = True
-    # basis independence
+    # basis independence: an adapted rebasing R moves the reference
+    # generator by prod_r (det R_rr)^r and the metric by its absolute value
     for _ in range(200):
         h, _ = random_pure_hodge(rng, max_rank=3)
-        base = line_metric(h)
-        twirl = random.Random(rng.randint(0, 10 ** 9))
-        again = line_metric(h, decomposition=hodge_decompose(h, rng=twirl))
-        ok = ok and base.overlaps(again)
+        rebased, factor = random_adapted_rebase(rng, h)
+        ok = ok and line_metric(rebased).overlaps(factor * line_metric(h))
     # homogeneity
     for _ in range(200):
         h, _ = random_pure_hodge(rng, max_rank=3)
-        dec = hodge_decompose(h)
         c = Fraction(rng.randint(1, 12), rng.randint(1, 12))
-        lhs = line_metric(h, c, decomposition=dec)
-        rhs = RealBall.from_fraction(c) * line_metric(h, 1, decomposition=dec)
+        lhs = line_metric(h, c)
+        rhs = RealBall.from_fraction(c) * line_metric(h, 1)
         ok = ok and lhs.overlaps(rhs)
     # direct-sum multiplicativity
     for _ in range(200):

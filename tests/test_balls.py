@@ -59,6 +59,68 @@ def test_arithmetic_enclosure_random():
             assert q.lower - mpf(10) ** -30 <= t <= q.upper + mpf(10) ** -30
 
 
+def test_sum_below_precision_is_not_exact():
+    with working_precision(128):
+        s = RealBall(1, 0) + RealBall(mpf(2) ** -400, 0)
+        assert not s.is_exact()
+        mp.prec = 600
+        assert contains_value(s, 1 + mpf(2) ** -400)
+
+
+def test_square_wider_than_precision_is_not_exact():
+    with working_precision(128):
+        x = RealBall(1, 0) + RealBall(mpf(2) ** -150, 0)
+        assert x.is_exact()  # 151 bits fit in the working mantissa
+        sq = x * x
+        assert not sq.is_exact()
+        mp.prec = 600
+        assert contains_value(sq, (1 + mpf(2) ** -150) ** 2)
+
+
+def test_exact_division_and_sqrt_only_when_exact():
+    assert (RealBall.exact_int(3) / RealBall.exact_int(4)).is_exact()
+    assert not (RealBall.exact_int(1) / RealBall.exact_int(3)).is_exact()
+    assert RealBall.exact_int(49).sqrt().is_exact()
+    assert RealBall.exact_int(49).sqrt().mid == 7
+    assert not RealBall.exact_int(2).sqrt().is_exact()
+    with working_precision(128):
+        x = RealBall(1, 0) + RealBall(mpf(2) ** -100, 0)  # x^2 needs 201 bits
+        assert not x.sqrt().is_exact()
+
+
+def test_exact_dyadic_operations_enclose_truth():
+    # random exact dyadic operands with up to 200 bits: every result, exact
+    # or not, must contain the true value, checked in Fraction arithmetic
+    rng = random.Random(11)
+    with working_precision(128):
+        for _ in range(300):
+            a, b = (RealBall(mpf(rng.randint(-2 ** 100, 2 ** 100))
+                             * mpf(2) ** rng.randint(-150, 50), 0) for _ in range(2))
+            fa, fb = a.exact_fraction(), b.exact_fraction()
+            checks = [(a + b, fa + fb), (a - b, fa - fb), (a * b, fa * fb)]
+            if fb:
+                checks.append((a / b, fa / fb))
+            for ball, truth in checks:
+                mid = RealBall(ball.mid, 0).exact_fraction()
+                rad = RealBall(ball.rad, 0).exact_fraction()
+                assert abs(truth - mid) <= rad
+                if ball.is_exact():
+                    assert mid == truth
+
+
+def test_exact_value_follows_the_ball():
+    # the exact value sum_k (a + b i) (2 pi i)^k, evaluated at 300 bits, lies
+    # in the ball, also after conjugation
+    balls = [ComplexBall.from_rationals(Fraction(1, 3), Fraction(-2, 5))]
+    balls += [ComplexBall.tpi_power(k, Fraction(3, 7)) for k in range(-2, 3)]
+    for z in balls + [z.conj() for z in balls]:
+        with mp.workprec(300):
+            value = sum((mpf(a.numerator) / a.denominator
+                         + 1j * (mpf(b.numerator) / b.denominator)) * (2j * mp.pi) ** k
+                        for k, (a, b) in z.exact_value().items())
+        assert contains_value(z.re, value.real) and contains_value(z.im, value.imag)
+
+
 def test_division_by_zero_ball_raises():
     z = RealBall(0, mpf("1e-10"))
     with pytest.raises(PrecisionExhausted):

@@ -106,6 +106,38 @@ def test_non_nested_filtration_exit1(capsys, tmp_path):
     assert "p=3" in err or "p=5" in err
 
 
+def _weight1_document(f1_second_entry):
+    """Rank-2 weight-1 document with F^1 spanned by (1, f1_second_entry)."""
+    return {"format_version": "1", "metadata": {"id": "w1"},
+            "type": {"weight": 1, "hodge_numbers": {"0": 1, "1": 1}},
+            "period": [["1", "1"], ["0", f1_second_entry]],
+            "local": [], "bad_primes": []}
+
+
+def test_opposition_det_exact_zero_exit1_ball_zero_exit2(capsys, tmp_path):
+    # F^1 = span(1/3, 1/3) is real and F^1 = span(2 pi i, 2 pi i) imaginary:
+    # either way D_1 = det[F^1 | conj F^1] is exactly zero, so the document
+    # is not pure
+    for entry in ("1/3", {"tpi": 1, "scale": "1"}):
+        doc = _weight1_document(entry)
+        doc["period"][0][1] = entry
+        exact = tmp_path / "exact.json"
+        exact.write_bytes(canonical_bytes(doc))
+        for command in ("validate", "height"):
+            code, out, err = run_cli(capsys, command, str(exact))
+            assert code == 1, (command, err)
+            assert "D_1 = 0" in err
+    # F^1 = span(1, 1 + (0 +- 1e-40) i): the D_1 ball contains zero but the
+    # data cannot decide, which is a precision verdict
+    fuzzy = tmp_path / "fuzzy.json"
+    fuzzy.write_bytes(canonical_bytes(_weight1_document(
+        {"re": "1", "im": "0", "digits": 40})))
+    for command in ("validate", "height"):
+        code, out, err = run_cli(capsys, command, str(fuzzy))
+        assert code == 2, (command, err)
+        assert "precision exhausted" in err
+
+
 def test_malformed_json_exit3(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

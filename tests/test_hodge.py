@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +5,7 @@ from mpmath import mp, mpf
 
 from motive_height.balls import (
     ComplexBall,
+    PrecisionExhausted,
     RealBall,
     ZeroVector,
     working_precision,
@@ -17,7 +17,8 @@ from motive_height.hodge import (
     line_metric,
     purity_check,
 )
-from conftest import random_pure_hodge
+from conftest import random_adapted_rebase, random_pure_hodge
+from hodge_oracle import reference_metric, span_residual, svd_pieces
 
 
 def tpi(k=1, scale=1):
@@ -72,6 +73,43 @@ def test_purity_fails_conjugate_degenerate():
     h = HodgeStructure(1, [0, 1], basis)
     rep = purity_check(h)
     assert not rep.ok
+
+
+def test_purity_exact_zero_decided_exactly():
+    # F^1 = span(x, y) with conj(x, y) proportional to (x, y), so
+    # D_1 = det[F^1 | conj F^1] = 0.  With (3, 1) elimination divides by 3,
+    # (1/3, 1/7) are not binary fractions and (2 pi i, 2 pi i / 5) is not
+    # even rational; exactly known entries still give an exact "not pure"
+    # verdict.
+    r = ComplexBall.from_rationals
+    for x, y in ((r(3), r(1)), (r(Fraction(1, 3)), r(Fraction(1, 7))),
+                 (tpi(1), tpi(1, Fraction(1, 5)))):
+        basis = [[ComplexBall.one(), x], [ComplexBall.zero(), y]]
+        rep = purity_check(HodgeStructure(1, [0, 1], basis))
+        assert not rep.ok and "D_1 = 0" in rep.messages[0]
+
+
+def test_purity_fails_for_singular_basis():
+    # the level-0 column repeats the level-1 column: every D_r with a < r < b
+    # is fine, but det P = D_0 vanishes
+    i = ComplexBall.from_rationals(0, 1)
+    basis = [[ComplexBall.one(), ComplexBall.one()], [i, i]]
+    rep = purity_check(HodgeStructure(1, [0, 1], basis))
+    assert not rep.ok and "singular" in rep.messages[0]
+
+
+def test_opposition_det_ball_containing_zero_raises():
+    # F^1 = span(1, 1 + eps i): D_1 = -2 eps i, nonzero for the midpoint
+    # eps = 2^-200, but eps carries a radius of 2^-100.  The D_1 ball
+    # contains zero, and the verdict is "cannot tell", not "not pure".
+    eps = RealBall(mpf(2) ** -200, mpf(2) ** -100)
+    basis = [[ComplexBall.one(), ComplexBall.one()],
+             [ComplexBall.zero(), ComplexBall(RealBall.one(), eps)]]
+    h = HodgeStructure(1, [0, 1], basis)
+    with pytest.raises(PrecisionExhausted):
+        purity_check(h)
+    with pytest.raises(PrecisionExhausted):
+        line_metric(h)
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +197,34 @@ def test_metric_zero_target_raises():
 # ---------------------------------------------------------------------------
 
 def test_metric_basis_independence(rng):
+    # rebasing P by an adapted R scales the reference generator of L(H) by
+    # prod_r (det R_rr)^r, and nothing else
     for _ in range(12):
         h, _ = random_pure_hodge(rng)
-        base = line_metric(h)
-        twirl = random.Random(rng.randint(0, 10 ** 9))
-        again = line_metric(h, decomposition=hodge_decompose(h, rng=twirl))
-        assert base.overlaps(again), (base, again)
+        rebased, factor = random_adapted_rebase(rng, h)
+        lhs, rhs = line_metric(rebased), factor * line_metric(h)
+        assert lhs.overlaps(rhs), (lhs, rhs)
+
+
+def test_metric_and_pieces_match_svd_oracle(rng):
+    # the closed-form metric against the intersection construction, and each
+    # projected piece H^{r,w-r} (and its conjugate, H^{w-r,r}) against the
+    # SVD intersection spans
+    for trial in range(30):
+        h, dims = random_pure_hodge(rng)
+        if trial % 2:
+            h, _ = random_adapted_rebase(rng, h)
+        oracle = svd_pieces(h)
+        dec = hodge_decompose(h)
+        assert dec.dims() == {r: q.cols for r, q in oracle.items()} == dims
+        for r, piece in dec.pieces.items():
+            for col in piece.columns:
+                mids = [x.mid_complex() for x in col]
+                assert span_residual(oracle[r], mids) < mpf("1e-35")
+                conj = [z.conjugate() for z in mids]
+                assert span_residual(oracle[h.weight - r], conj) < mpf("1e-35")
+        m = line_metric(h)
+        assert abs(m.mid - reference_metric(h, oracle)) <= m.rad + mpf("1e-35") * m.mid
 
 
 def test_metric_homogeneity(rng):
@@ -211,34 +271,3 @@ def test_precision_monotone_metric():
         hi = line_metric(rank1(2, 1, tpi(1)), 1)
     assert hi.rad < lo.rad
     assert abs(hi.mid - lo.mid) <= lo.rad + hi.rad
-
-
-def test_intersection_ambiguity_band_raises():
-    # two lines at an angle right around 2^(-prec/2) cannot be resolved
-    from motive_height.balls import PrecisionExhausted
-    from motive_height.hodge import _intersect_subspaces
-    eps = RealBall(mpf(2) ** -64, 0)
-    u = [(ComplexBall.one(), ComplexBall.zero())]
-    w = [(ComplexBall.one(), ComplexBall(eps, RealBall.zero()))]
-    with pytest.raises(PrecisionExhausted):
-        _intersect_subspaces(u, w, 2, 0)
-
-
-def test_from_filtration_adapts_spans():
-    # give F^1 and F^0 as spans; F^0 needs completion
-    i = ComplexBall.from_rationals(0, 1)
-    f1 = [[ComplexBall.one()], [i]]
-    f0 = [[ComplexBall.one(), ComplexBall.zero()],
-          [ComplexBall.zero(), ComplexBall.one()]]
-    h = HodgeStructure.from_filtration(1, {1: f1, 0: f0}, n=2)
-    assert purity_check(h).ok
-    assert h.dims() == {1: 1, 0: 1}
-
-
-def test_from_filtration_rejects_non_nested():
-    i = ComplexBall.from_rationals(0, 1)
-    f2 = [[ComplexBall.one(), ComplexBall.zero()],
-          [ComplexBall.zero(), ComplexBall.one()]]  # F^2 = C^2
-    f1 = [[ComplexBall.one()], [i]]  # smaller than F^2: not nested
-    with pytest.raises(ValueError):
-        HodgeStructure.from_filtration(0, {2: f2, 1: f1, 0: f1}, n=2)
