@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from mpmath import mp, mpf, isfinite
+from mpmath.libmp import mpf_abs, mpf_neg
 
 _DEFAULT_BITS = 128
 _GUARD_BITS = 30
@@ -92,8 +93,16 @@ class RealBall:
     __slots__ = ("mid", "rad")
 
     def __init__(self, mid, rad=0):
-        self.mid = mpf(mid)
-        self.rad = mpf(rad)
+        if type(mid) is not mpf or not _representable(mid):
+            # rounding to the working precision moves the midpoint: widen
+            # the radius by the move, rounded up
+            rounded = mpf(mid)
+            move = mp.fsub(mid, rounded, exact=True)
+            if move:
+                rad = mp.fadd(rad, mp.make_mpf(mpf_abs(move._mpf_)), rounding="u")
+            mid = rounded
+        self.mid = mid
+        self.rad = rad if type(rad) is mpf else mpf(rad)
         if self.rad < 0 or not isfinite(self.rad):
             raise ValueError(f"invalid radius {rad!r}")
 
@@ -190,7 +199,9 @@ class RealBall:
     __radd__ = __add__
 
     def __neg__(self):
-        return RealBall(-self.mid, self.rad)
+        # exact sign flip, so a midpoint wider than the working precision
+        # reaches the constructor unrounded and widens the radius there
+        return RealBall(mp.make_mpf(mpf_neg(self.mid._mpf_)), self.rad)
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -228,8 +239,8 @@ class RealBall:
         return _coerce(other) / self
 
     def __abs__(self):
-        # Valid enclosure: ||t| - |mid|| <= |t - mid| <= rad.
-        return RealBall(abs(self.mid), self.rad)
+        # Valid enclosure: ||t| - |mid|| <= |t - mid| <= rad; |mid| exactly.
+        return RealBall(mp.make_mpf(mpf_abs(self.mid._mpf_)), self.rad)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):

@@ -32,6 +32,8 @@ from .documents import (
     parse_quotient_spec,
 )
 from .experiments import (
+    ABC_HEADER,
+    AbcRow,
     IncompatibleSpec,
     StrongDivisibilityLost,
     check_s_equals_t,
@@ -78,12 +80,7 @@ def _parse_window(text):
 
 
 def _row(m, rep) -> str:
-    a, b = rep.window
-    n_ball = n_of_m(m)
-    return "\t".join([
-        rep.label, str(a), str(b),
-        nstr(rep.h.mid, 25), nstr(rep.h.rad, 3), nstr(n_ball.mid, 25),
-    ])
+    return AbcRow(rep.label, rep.window, rep.h, n_of_m(m)).render()
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +194,7 @@ def cmd_batch(args) -> int:
     else:
         rows = [_batch_worker(p) for p in payloads]
     if args.format == "text":
-        print("# over Q: log|D_K| = 0, [K:Q] = 1; no inequality asserted")
-        print("id\ta\tb\th_mid\th_rad\tn_of_M")
+        print(ABC_HEADER)
     for row in rows:
         print(row)
     return EXIT_OK

@@ -289,9 +289,5 @@ def _elliptic_fl_rows(p: int, a_p: int) -> dict:
 
 def _inverse_decimal(decimal: str, digits: int) -> str:
     from mpmath import mp, mpf, nstr
-    saved = mp.dps
-    try:
-        mp.dps = digits + 15
+    with mp.workdps(digits + 15):
         return nstr(1 / mpf(decimal), digits + 5)
-    finally:
-        mp.dps = saved

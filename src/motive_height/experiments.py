@@ -20,13 +20,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
-from mpmath import mp, mpf, svd as mp_svd, matrix as mp_matrix
-
-from .balls import ComplexBall, PrecisionExhausted, RealBall, current_bits
-from .fl import FilPhiModule, check_strong_divisibility
+from .balls import RealBall, ball_mat_mul, ball_matrix
+from .fl import FilPhiModule, _contained_at_p, _saturated_at_p, check_strong_divisibility
 from .lines import Lattice
 from .motive import HeightReport, MotiveData, MotiveType, height, validate
-from .rational import QMatrix, hnf_rational, integer_kernel, smith_normal_form, vp
+from .rational import QMatrix, hnf_rational, integer_kernel, smith_normal_form
 
 
 class IncompatibleSpec(ValueError):
@@ -133,38 +131,11 @@ def full_quotient_spec(m: MotiveData, p: int, exponent: int = 1) -> QuotientSpec
                         phi_d, fil_u, exponent)
 
 
-def _is_saturated_at_p(coords: QMatrix, p: int) -> bool:
-    if coords.cols == 0:
-        return True
-    divisors, _, _ = smith_normal_form(coords.scale(coords.denominator_lcm()))
-    return all(d == 0 or d % p != 0 for d in divisors)
-
-
-def _rank_mod_p(m: QMatrix, p: int) -> int:
-    scale = m.denominator_lcm()
-    if scale % p == 0:
-        raise IncompatibleSpec("matrix is not p-integral")
-    red = [[(x.numerator * pow(x.denominator, -1, p)) % p for x in row]
-           for row in m.data]
-    rank = 0
-    rows, cols = len(red), len(red[0]) if red else 0
-    for c in range(cols):
-        piv = next((r for r in range(rank, rows) if red[r][c]), None)
-        if piv is None:
-            continue
-        red[rank], red[piv] = red[piv], red[rank]
-        inv = pow(red[rank][c], -1, p)
-        red[rank] = [v * inv % p for v in red[rank]]
-        for r in range(rows):
-            if r != rank and red[r][c]:
-                f = red[r][c]
-                red[r] = [(v - f * w) % p for v, w in zip(red[r], red[rank])]
-        rank += 1
-    return rank
-
-
 def validate_spec(m: MotiveData, spec: QuotientSpec) -> None:
-    """Raise IncompatibleSpec unless all declared compatibilities hold."""
+    """Raise IncompatibleSpec unless all declared compatibilities hold.
+
+    The lattice conditions are decided exactly.  The period condition is
+    decided on balls and fails only when the data certify that it fails."""
     rep = validate(m)
     if not rep.ok:
         raise IncompatibleSpec("motive itself is invalid: " + "; ".join(rep.issues))
@@ -181,11 +152,13 @@ def validate_spec(m: MotiveData, spec: QuotientSpec) -> None:
         raise IncompatibleSpec("quotient maps must be integer matrices")
     if k == 0:
         return
-    if _rank_mod_p(spec.q_dr, p) != k:
-        raise IncompatibleSpec("q_dr is not surjective at p")
     divisors, _, _ = smith_normal_form(spec.q_betti)
     if list(divisors[:k]) != [1] * k:
         raise IncompatibleSpec("q_betti is not surjective")
+    # k <= n now, so q_dr has k Smith divisors; onto at p iff all are units
+    divisors, _, _ = smith_normal_form(spec.q_dr)
+    if any(d % p == 0 for d in divisors):
+        raise IncompatibleSpec("q_dr is not surjective at p")
     # Frobenius compatibility in D-coordinates, exactly
     binv = fl.lattice.basis.inverse()
     phi_d = binv @ fl.phi @ fl.lattice.basis
@@ -196,71 +169,22 @@ def validate_spec(m: MotiveData, spec: QuotientSpec) -> None:
         u_i = spec.u_filtration_matrix(i, (a, b))
         if not u_i.is_integer():
             raise IncompatibleSpec(f"U^{i} must be an integer sublattice")
-        if not _is_saturated_at_p(u_i, p):
+        if not _saturated_at_p(u_i, p):
             raise IncompatibleSpec(f"U^{i} is not saturated at p")
-        d_i = binv @ fl.filtration_matrix(i)
-        image = spec.q_dr @ d_i
-        if not _lattice_equal_at_p(image, u_i, p, k):
+        image = hnf_rational(spec.q_dr @ (binv @ fl.filtration_matrix(i)))
+        u_i = hnf_rational(u_i)
+        if image.cols != u_i.cols or (image.cols and not (
+                _contained_at_p(u_i, image, p) and _contained_at_p(image, u_i, p))):
             raise IncompatibleSpec(f"q(D^{i}) differs from U^{i} at p")
-    # Betti/de-Rham kernel compatibility through the period matrix
-    _check_kernel_compatibility(m, fl, spec)
-
-
-def _lattice_equal_at_p(gens_a: QMatrix, gens_b: QMatrix, p: int, dim: int) -> bool:
-    basis_a = hnf_rational(gens_a) if gens_a.cols else gens_a
-    basis_b = hnf_rational(gens_b) if gens_b.cols else gens_b
-    if basis_a.cols != basis_b.cols:
-        return False
-    if basis_a.cols == 0:
-        return True
-    if basis_a.hstack(basis_b).rank() != basis_a.cols:
-        return False
-    for inner, outer in ((basis_a, basis_b), (basis_b, basis_a)):
-        gram = outer.transpose() @ outer
-        coords = gram.solve(outer.transpose() @ inner)
-        if outer @ coords != inner:
-            return False
-        if any(not _p_int(x, p) for row in coords.data for x in row):
-            return False
-    return True
-
-
-def _p_int(x: Fraction, p: int) -> bool:
-    return x.denominator % p != 0
-
-
-def _check_kernel_compatibility(m: MotiveData, fl: FilPhiModule,
-                                spec: QuotientSpec) -> None:
-    n, k = m.rank, spec.k
     if k == n:
         return
-    ker_d = integer_kernel(spec.q_dr)           # in D-coordinates
-    ker_ambient = fl.lattice.basis @ ker_d      # in dR reference coordinates
-    ker_b = integer_kernel(spec.q_betti)
-    cols = []
-    for j in range(ker_ambient.cols):
-        col = [ComplexBall.zero() for _ in range(n)]
-        for i in range(n):
-            acc = ComplexBall.zero()
-            for t in range(n):
-                acc = acc + m.period[i][t] * ComplexBall.from_rationals(ker_ambient[t, j])
-            col[i] = acc
-        cols.append(col)
-    for j in range(ker_b.cols):
-        cols.append([ComplexBall.from_rationals(ker_b[i, j]) for i in range(n)])
-    a = mp_matrix(n, len(cols))
-    for j, col in enumerate(cols):
-        for i in range(n):
-            a[i, j] = col[i].mid_complex()
-    sig = mp_svd(a, compute_uv=False)
-    tau = mpf(2) ** (-(current_bits() // 2))
-    scale = max(sig[0], mpf(1))
-    sigmas = [sig[i] for i in range(sig.rows)]
-    small = [s for s in sigmas if s <= tau * scale]
-    if any(tau * scale / 256 < s < tau * scale * 256 for s in sigmas):
-        raise PrecisionExhausted("kernel comparison sits in the ambiguity band")
-    # spans agree iff the stacked kernels have rank n - k
-    if len(sigmas) - len(small) != n - k:
+    # Betti/de Rham kernels through the period matrix: P ker(q_dr) and
+    # ker(q_betti) both have rank n - k and det P != 0 (validate), so they
+    # agree iff Z = q_betti P K_d vanishes
+    k_d = fl.lattice.basis @ integer_kernel(spec.q_dr)      # dR coordinates
+    z = ball_mat_mul(ball_matrix(spec.q_betti.data),
+                     ball_mat_mul(m.period, ball_matrix(k_d.data)))
+    if not all(x.contains_zero() for row in z for x in row):
         raise IncompatibleSpec(
             "Betti and de Rham kernels disagree through the period matrix")
 
@@ -303,7 +227,6 @@ def sublattice_motive(m: MotiveData, spec: QuotientSpec,
     q = p ** n_exp
     fl = m.local[p]
     a, b = m.window
-    rank = m.rank
 
     kd = kernel_mod(spec.q_dr, q)                     # D-coordinates
     new_lattice = Lattice(fl.lattice.basis @ kd)      # ambient
@@ -330,15 +253,8 @@ def sublattice_motive(m: MotiveData, spec: QuotientSpec,
             "kernel lattice is not strongly divisible: the quotient spec is "
             "inconsistent with the Frobenius")
 
-    kb = kernel_mod(spec.q_betti, q)
-    kb_inv = kb.inverse()
-    period = [[None] * rank for _ in range(rank)]
-    for i in range(rank):
-        for j in range(rank):
-            acc = ComplexBall.zero()
-            for t in range(rank):
-                acc = acc + ComplexBall.from_rationals(kb_inv[i, t]) * m.period[t][j]
-            period[i][j] = acc
+    kb_inv = kernel_mod(spec.q_betti, q).inverse()
+    period = ball_mat_mul(ball_matrix(kb_inv.data), m.period)
     local = dict(m.local)
     local[p] = new_fl
     return MotiveData(m.type, period, local, m.bad_primes,
@@ -426,12 +342,24 @@ def n_of_m(m: MotiveData) -> RealBall:
     return total
 
 
+ABC_HEADER = ("# over Q: log|D_K| = 0, [K:Q] = 1; no inequality asserted\n"
+              "id\ta\tb\th_mid\th_rad\tn_of_M")
+
+
 @dataclass
 class AbcRow:
     label: str
     window: tuple[int, int]
     h: RealBall
     n_of_m: RealBall
+
+    def render(self) -> str:
+        """One tab-separated line of the table, as ``height --format rows``
+        and ``batch`` print it."""
+        from mpmath import nstr
+        a, b = self.window
+        return "\t".join([self.label, str(a), str(b), nstr(self.h.mid, 25),
+                          nstr(self.h.rad, 3), nstr(self.n_of_m.mid, 25)])
 
 
 @dataclass
@@ -443,17 +371,7 @@ class AbcReport:
     rows: list[AbcRow]
 
     def render(self) -> str:
-        out = ["# over Q: log|D_K| = 0, [K:Q] = 1; no inequality asserted",
-               "id\ta\tb\th_mid\th_rad\tn_of_M"]
-        from mpmath import nstr
-        for row in self.rows:
-            a, b = row.window
-            out.append("\t".join([
-                row.label, str(a), str(b),
-                nstr(row.h.mid, 25), nstr(row.h.rad, 3),
-                nstr(row.n_of_m.mid, 25),
-            ]))
-        return "\n".join(out)
+        return "\n".join([ABC_HEADER] + [row.render() for row in self.rows])
 
 
 def abc_report(batch: Sequence[MotiveData]) -> AbcReport:

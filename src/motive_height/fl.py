@@ -106,17 +106,13 @@ class FilPhiModule:
                         f"D^{i} is not adapted: spans more than the last {k} "
                         f"reference coordinates")
             # nested in the previous step, p-locally
-            if prev_rank:
-                coords = _coords_in(prev, m)
-                if coords is None or not _all_p_integral(coords, p):
-                    raise NotSublattice(f"D^{i} escapes D^{i - 1} at p = {p}")
+            if prev_rank and not _contained_at_p(prev, m, p):
+                raise NotSublattice(f"D^{i} escapes D^{i - 1} at p = {p}")
             # saturated in D at p
             dcoords = _coords_in(self.lattice.basis, m)
             if dcoords is None or not _all_p_integral(dcoords, p):
                 raise NotSublattice(f"D^{i} is not contained in D at p = {p}")
-            divisors, _, _ = smith_normal_form(
-                dcoords.scale(dcoords.denominator_lcm()))
-            if any(d and d % p == 0 for d in divisors):
+            if not _saturated_at_p(dcoords, p):
                 raise ValueError(f"D^{i} is not saturated in D at p = {p}")
             prev, prev_rank = m, k
 
@@ -165,6 +161,19 @@ def _coords_in(basis_matrix: QMatrix, cols: QMatrix) -> Optional[QMatrix]:
 
 def _all_p_integral(m: QMatrix, p: int) -> bool:
     return all(is_p_integral(x, p) for row in m.data for x in row)
+
+
+def _contained_at_p(basis_matrix: QMatrix, cols: QMatrix, p: int) -> bool:
+    """``cols`` lie in the lattice spanned by ``basis_matrix``, localized at p."""
+    coords = _coords_in(basis_matrix, cols)
+    return coords is not None and _all_p_integral(coords, p)
+
+
+def _saturated_at_p(coords: QMatrix, p: int) -> bool:
+    """The p-integral columns ``coords`` span a sublattice saturated at p: no
+    nonzero Smith divisor is divisible by p."""
+    divisors, _, _ = smith_normal_form(coords.scale(coords.denominator_lcm()))
+    return not any(d and d % p == 0 for d in divisors)
 
 
 # ---------------------------------------------------------------------------

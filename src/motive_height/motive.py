@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
-from .balls import ComplexBall, PrecisionExhausted, RealBall, ball_matrix
+from .balls import ComplexBall, PrecisionExhausted, RealBall, ball_mat_mul, ball_matrix
 from . import fl as fl_mod
 from .fl import FilPhiModule, LocalLatticeSpec, standard_module
 from .hodge import HodgeStructure, line_metric, purity_check
@@ -404,9 +404,7 @@ def rebase_reference(m: MotiveData, r_mat: QMatrix) -> MotiveData:
             local[p] = LocalLatticeSpec.from_map(
                 p, (a, b),
                 {r: spec.value(r) - vp(quot_det[r], p) for r in range(a, b + 1)})
-    period = [[sum((m.period[i][k] * r_mat[k, j] for k in range(n)),
-                   start=ComplexBall.zero())
-               for j in range(n)] for i in range(n)]
+    period = ball_mat_mul(m.period, ball_matrix(r_mat.data))
     return MotiveData(m.type, period, local, m.bad_primes,
                       label=f"{m.label}~rebased")
 

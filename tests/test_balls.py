@@ -108,6 +108,24 @@ def test_exact_dyadic_operations_enclose_truth():
                     assert mid == truth
 
 
+def test_wide_midpoint_passes_through_unrounded():
+    # a ball made exact at 256 bits, then negated, taken in absolute value,
+    # conjugated or re-wrapped at 128 bits, must still contain its value
+    with working_precision(256):
+        b = RealBall(1, 0) + RealBall(mpf(2) ** -200, 0)
+    truth = 1 + Fraction(1, 2 ** 200)
+    assert b.exact_fraction() == truth
+    with working_precision(128):
+        z = ComplexBall(b, b)
+        cases = [(-b, -truth), (abs(b), truth), (abs(-b), truth),
+                 (RealBall(b.mid, b.rad), truth), (z.conj().im, -truth),
+                 ((-z).re, -truth)]
+    for ball, value in cases:
+        (s, man, exp, _), rad = ball.mid._mpf_, ball.rad._mpf_
+        mid = (-1) ** s * Fraction(man) * Fraction(2) ** exp
+        assert abs(value - mid) <= Fraction(rad[1]) * Fraction(2) ** rad[2]
+
+
 def test_exact_value_follows_the_ball():
     # the exact value sum_k (a + b i) (2 pi i)^k, evaluated at 300 bits, lies
     # in the ball, also after conjugation

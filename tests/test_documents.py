@@ -45,6 +45,16 @@ def test_elliptic_document_height_value():
     assert abs(rep.h.mid - expected) < mpf("1e-40") + rep.h.rad
 
 
+def test_elliptic_document_inverse_period_pinned():
+    # the decimal 1/omega is fixed, and building it leaves mp.prec as it was
+    for prec in (53, 158, 300):
+        mp.prec = prec
+        doc = example_document("elliptic:square")
+        assert mp.prec == prec
+        assert doc["period"][0][0]["re"] == \
+            "0.38137988175090659403116299048180789664631461867404"
+
+
 def test_unknown_example_rejected():
     with pytest.raises(DocumentError):
         example_document("elliptic:rectangular")

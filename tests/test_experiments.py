@@ -27,6 +27,7 @@ from motive_height.motive import (
     height,
     tate_motive,
     tate_twist,
+    validate,
 )
 from motive_height.rational import QMatrix
 from conftest import block_projection_spec, random_motive
@@ -177,6 +178,71 @@ def test_non_surjective_q_rejected():
     bad = QuotientSpec(3, 1, QMatrix([[3]]), good.q_betti,
                        good.phi_u, good.filtration_u, 1)
     with pytest.raises(IncompatibleSpec):
+        validate_spec(m, bad)
+
+
+def test_kernel_mismatch_through_periods_rejected(rng):
+    # an off-block period entry of 2^-100 (row of the second summand, column
+    # of the first) maps ker q_dr out of ker q_betti; the motive stays valid
+    for _ in range(3):
+        m1 = random_motive(rng, weight=0, primes=(5,), max_rank=2, label="A")
+        m2 = random_motive(rng, weight=0, dims=dict(m1.type.hodge_numbers),
+                           primes=(5,), max_rank=2, label="B")
+        msum = direct_sum(m1, m2)
+        spec = block_projection_spec(msum, m2, 5)
+        validate_spec(msum, spec)
+        second = [j for j in range(msum.rank)
+                  if any(spec.q_betti[i, j] for i in range(spec.k))]
+        first = [j for j in range(msum.rank) if j not in second]
+        period = [list(row) for row in msum.period]
+        period[second[0]][first[0]] = ComplexBall.from_rationals(Fraction(1, 2 ** 100))
+        m = MotiveData(msum.type, period, msum.local, msum.bad_primes)
+        assert validate(m).ok
+        with pytest.raises(IncompatibleSpec, match="kernels disagree"):
+            validate_spec(m, spec)
+
+
+def test_q_betti_not_surjective_over_z_rejected(rng):
+    m1 = random_motive(rng, weight=0, primes=(5,), max_rank=2, label="A")
+    m2 = random_motive(rng, weight=0, dims=dict(m1.type.hodge_numbers),
+                       primes=(5,), max_rank=2, label="B")
+    msum = direct_sum(m1, m2)
+    good = block_projection_spec(msum, m2, 5)
+    bad = QuotientSpec(5, good.k, good.q_dr, good.q_betti.scale(2),
+                       good.phi_u, good.filtration_u, 1)
+    with pytest.raises(IncompatibleSpec, match="q_betti is not surjective"):
+        validate_spec(msum, bad)
+
+
+def test_q_dr_with_smith_divisors_one_p_rejected():
+    m = direct_sum(tate_motive(1, fl_primes=(3,)), tate_motive(1, fl_primes=(3,)))
+    good = full_quotient_spec(m, 3)
+    q_dr = QMatrix([[1, 1], [1, 4]]) @ good.q_dr      # Smith divisors (1, 3)
+    bad = QuotientSpec(3, 2, q_dr, good.q_betti, good.phi_u,
+                       good.filtration_u, 1)
+    with pytest.raises(IncompatibleSpec, match="q_dr is not surjective at p"):
+        validate_spec(m, bad)
+
+
+def _elliptic_spec_with_u0(u0: QMatrix):
+    m = elliptic_curve_h1(ComplexBall.one(), ComplexBall.from_rationals(0, 1),
+                          ap={5: 1})
+    good = full_quotient_spec(m, 5)
+    validate_spec(m, good)
+    assert good.filtration_u == ((0, QMatrix([[0], [1]])),)
+    return m, QuotientSpec(5, 2, good.q_dr, good.q_betti, good.phi_u,
+                           ((0, u0),), 1)
+
+
+def test_unsaturated_u_filtration_rejected():
+    m, bad = _elliptic_spec_with_u0(QMatrix([[0], [5]]))
+    with pytest.raises(IncompatibleSpec, match="U\\^0 is not saturated at p"):
+        validate_spec(m, bad)
+
+
+def test_u_filtration_not_image_of_d_rejected():
+    m, bad = _elliptic_spec_with_u0(QMatrix([[1], [0]]))
+    with pytest.raises(IncompatibleSpec, match="q\\(D\\^0\\) differs from U\\^0"):
         validate_spec(m, bad)
 
 
