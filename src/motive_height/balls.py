@@ -93,6 +93,11 @@ class RealBall:
     __slots__ = ("mid", "rad")
 
     def __init__(self, mid, rad=0):
+        if isinstance(mid, str):
+            # a decimal string is rarely a binary fraction: the rounding
+            # move cannot be measured here, so the radius would be wrong
+            raise TypeError("RealBall midpoint must be a number; "
+                            "parse decimal strings with RealBall.from_decimal")
         if type(mid) is not mpf or not _representable(mid):
             # rounding to the working precision moves the midpoint: widen
             # the radius by the move, rounded up
@@ -171,13 +176,6 @@ class RealBall:
 
     def definitely_positive(self) -> bool:
         return self.lower > 0
-
-    def mag_upper(self) -> mpf:
-        return abs(self.mid) + self.rad
-
-    def mag_lower(self) -> mpf:
-        m = abs(self.mid) - self.rad
-        return m if m > 0 else mpf(0)
 
     def contains(self, other: "RealBall") -> bool:
         return self.lower <= other.lower and other.upper <= self.upper

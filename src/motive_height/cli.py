@@ -39,9 +39,6 @@ from .experiments import (
     check_s_equals_t,
     invariance_experiment,
     n_of_m,
-    s_invariant,
-    t_invariant,
-    validate_spec,
 )
 from .motive import InvalidMotive, WindowMismatch, height, validate
 

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .balls import RealBall, ball_mat_mul, ball_matrix
-from .fl import FilPhiModule, _contained_at_p, _saturated_at_p, check_strong_divisibility
+from .fl import FilPhiModule, _contained_at_p, _saturated_at_p
 from .lines import Lattice
 from .motive import HeightReport, MotiveData, MotiveType, height, validate
 from .rational import QMatrix, hnf_rational, integer_kernel, smith_normal_form
@@ -173,8 +173,8 @@ def validate_spec(m: MotiveData, spec: QuotientSpec) -> None:
             raise IncompatibleSpec(f"U^{i} is not saturated at p")
         image = hnf_rational(spec.q_dr @ (binv @ fl.filtration_matrix(i)))
         u_i = hnf_rational(u_i)
-        if image.cols != u_i.cols or (image.cols and not (
-                _contained_at_p(u_i, image, p) and _contained_at_p(image, u_i, p))):
+        if image.cols != u_i.cols or not (
+                _contained_at_p(u_i, image, p) and _contained_at_p(image, u_i, p)):
             raise IncompatibleSpec(f"q(D^{i}) differs from U^{i} at p")
     if k == n:
         return
@@ -248,17 +248,20 @@ def sublattice_motive(m: MotiveData, spec: QuotientSpec,
         new_fl = FilPhiModule(p, new_lattice, fl.phi, new_fil, (a, b))
     except ValueError as exc:
         raise StrongDivisibilityLost(f"kernel module is malformed: {exc}")
-    if not check_strong_divisibility(new_fl).ok:
-        raise StrongDivisibilityLost(
-            "kernel lattice is not strongly divisible: the quotient spec is "
-            "inconsistent with the Frobenius")
 
     kb_inv = kernel_mod(spec.q_betti, q).inverse()
     period = ball_mat_mul(ball_matrix(kb_inv.data), m.period)
     local = dict(m.local)
     local[p] = new_fl
-    return MotiveData(m.type, period, local, m.bad_primes,
-                      label=f"{m.label}^({n_exp})")
+    sub = MotiveData(m.type, period, local, m.bad_primes,
+                     label=f"{m.label}^({n_exp})")
+    try:
+        sub.local_spec(p)  # decides strong divisibility, once
+    except ValueError as exc:
+        raise StrongDivisibilityLost(
+            "kernel lattice is not strongly divisible: the quotient spec is "
+            "inconsistent with the Frobenius") from exc
+    return sub
 
 
 # ---------------------------------------------------------------------------
@@ -291,17 +294,15 @@ class InvarianceReport:
 def invariance_experiment(m: MotiveData, spec: QuotientSpec,
                           n: Optional[int] = None) -> InvarianceReport:
     """Audit h(M^(n)) = h(M) and its two exact lattice identities."""
-    from .motive import assemble_height_line
-
     n_exp = spec.exponent if n is None else int(n)
     sub = sublattice_motive(m, spec, n_exp)
     a, b = m.window
     s_u = spec.s_of_quotient((a, b))
     t_u = spec.t_of_quotient(m.weight)
 
-    base_line = assemble_height_line(m)
-    sub_line = assemble_height_line(sub)
-    ratio = sub_line.lattice_scalar / base_line.lattice_scalar
+    base_h = height(m)
+    sub_h = height(sub)
+    ratio = sub_h.lattice_scalar / base_h.lattice_scalar
     expected = Fraction(spec.p) ** (n_exp * s_u)
     lattice_ok = ratio == expected
 
@@ -312,9 +313,6 @@ def invariance_experiment(m: MotiveData, spec: QuotientSpec,
         betti_index = abs(int(kb.det()))
     w = m.weight
     betti_ok = Fraction(betti_index) ** w == Fraction(spec.p) ** (2 * n_exp * t_u)
-
-    base_h = height(m)
-    sub_h = height(sub)
     match = base_h.h.overlaps(sub_h.h)
 
     messages = []

@@ -8,12 +8,13 @@ sub-lattices D^i over a window [a, b) of length at most p - 1, with
 D^a = D and D^b = 0.
 
 The lattice identity D = sum_i p^{-i} phi D^i (strong divisibility) is
-checked, never assumed.  The local integral structure it induces on the
-determinant line of each quotient D_dR / D^r_dR is reported as a single
-p-adic valuation per r, measured against the reference basis of the
-quotient; the two cohomology-style invariants (the fixed lattice of phi in
-D^0 and the cokernel of 1 - phi) are exposed as diagnostics so the
-determinant bookkeeping can be audited independently.
+checked, never assumed, by ``local_valuations``.  The local integral
+structure it induces on the determinant line of each quotient
+D_dR / D^r_dR is reported as a single p-adic valuation per r, measured
+against the reference basis of the quotient; the two cohomology-style
+invariants (the fixed lattice of phi in D^0 and the cokernel of 1 - phi)
+are exposed as diagnostics so the determinant bookkeeping can be audited
+independently.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .lines import Lattice, NotSublattice
+from .lines import Lattice, NotSublattice, quotient_lattice_valuation
 from .rational import (
     QMatrix,
     hnf_rational,
@@ -40,7 +41,14 @@ class WindowTooWide(ValueError):
 
 
 class FilPhiModule:
-    """Filtered phi-module (D, phi, (D^i)) at p; validated on construction."""
+    """Filtered phi-module (D, phi, (D^i)) at p.
+
+    Construction checks the shape: p prime, a window of length at most
+    p - 1, phi invertible, and each D^i adapted, nested and saturated in D
+    at p.  Strong divisibility is not checked here: ``local_valuations``
+    decides it, once per prime of a motive, and ``motive.validate`` reaches
+    it through ``MotiveData.local_spec``.
+    """
 
     __slots__ = ("p", "n", "lattice", "phi", "window", "_fil")
 
@@ -94,9 +102,6 @@ class FilPhiModule:
             k = m.cols
             if k > prev_rank:
                 raise ValueError(f"filtration ranks increase at step {i}")
-            if k == 0:
-                prev, prev_rank = m, 0
-                continue
             if m.rank() != k:
                 raise ValueError(f"D^{i} basis is not independent")
             # adapted span: only the trailing k coordinates may appear
@@ -106,7 +111,7 @@ class FilPhiModule:
                         f"D^{i} is not adapted: spans more than the last {k} "
                         f"reference coordinates")
             # nested in the previous step, p-locally
-            if prev_rank and not _contained_at_p(prev, m, p):
+            if not _contained_at_p(prev, m, p):
                 raise NotSublattice(f"D^{i} escapes D^{i - 1} at p = {p}")
             # saturated in D at p
             dcoords = _coords_in(self.lattice.basis, m)
@@ -187,21 +192,18 @@ class StrongDivisibilityReport:
 
 
 def check_strong_divisibility(m: FilPhiModule) -> StrongDivisibilityReport:
-    """Decide whether sum_i p^{-i} phi D^i equals D after localization at p."""
+    """Decide whether sum_i p^{-i} phi D^i equals D after localization at p:
+    the sum must lie in D at p with index prime to p."""
     a, b = m.window
     p = m.p
-    pieces = []
+    gens = QMatrix.zeros(m.n, 0)
     for i in range(a, b):
-        fil = m.filtration_matrix(i)
-        if fil.cols:
-            pieces.append((m.phi @ fil).scale(Fraction(1, p) ** i))
-    gens = pieces[0]
-    for extra in pieces[1:]:
-        gens = gens.hstack(extra)
-    basis = hnf_rational(gens)
-    witness = Lattice(basis)
-    coords = m.lattice.basis.solve(witness.basis)
-    ok = _all_p_integral(coords, p) and vp(coords.det(), p) == 0
+        gens = gens.hstack((m.phi @ m.filtration_matrix(i)).scale(Fraction(1, p) ** i))
+    witness = Lattice(gens)
+    try:
+        ok = quotient_lattice_valuation(m.lattice, witness, p) == 0
+    except NotSublattice:
+        ok = False
     return StrongDivisibilityReport(ok, witness)
 
 
@@ -298,23 +300,20 @@ class LocalLatticeSpec:
         return all(e == 0 for _, e in self.v)
 
 
-def local_valuations(m: FilPhiModule, window: tuple[int, int] | None = None) -> LocalLatticeSpec:
+def local_valuations(m: FilPhiModule) -> LocalLatticeSpec:
     """Valuations v(r) = v_p(det(D / D^r)) against the reference quotient basis.
 
-    Requires strong divisibility (checked here); the quotient is taken by
-    dropping the trailing adapted coordinates spanned by D^r.
+    This is where a module's strong divisibility is decided: without it
+    there is no integral structure, and ValueError says so with the lattice
+    sum as witness.  The quotient is taken by dropping the trailing adapted
+    coordinates spanned by D^r.
     """
     report = check_strong_divisibility(m)
     if not report.ok:
-        raise ValueError("strong divisibility fails; no integral structure")
-    a, b = window if window is not None else m.window
-    if (a, b) != m.window:
-        ma, mb = m.window
-        if not (a <= ma and mb <= b):
-            raise ValueError(f"window ({a}, {b}) does not contain the module's")
-    values = {}
-    for r in range(a, b + 1):
-        values[r] = _quotient_valuation(m, r)
+        raise ValueError(f"strong divisibility fails "
+                         f"(lattice sum has basis {report.witness.basis.data})")
+    a, b = m.window
+    values = {r: _quotient_valuation(m, r) for r in range(a, b + 1)}
     return LocalLatticeSpec(m.p, (a, b), tuple(sorted(values.items())),
                             "computed-from-FL")
 

@@ -1,7 +1,7 @@
 """Lattices in Q^n, adelic valuation data, and metrized determinant lines.
 
-A full-rank lattice is stored through the canonical Hermite form of a basis
-matrix, so equality is plain comparison.  One-dimensional integral
+A full-rank lattice is stored as the canonical Hermite form of any matrix
+of generators, so equality is plain comparison.  One-dimensional integral
 structures are a positive rational multiple of a reference generator; the
 archimedean side is a certified ball attached to the same reference.
 """
@@ -25,17 +25,17 @@ class MissingMetric(ValueError):
 
 
 class Lattice:
-    """Full-rank lattice in Q^n, canonicalized to column Hermite form."""
+    """Full-rank lattice in Q^n: the column Hermite form of its generators."""
 
     __slots__ = ("n", "basis")
 
-    def __init__(self, basis: QMatrix):
-        if basis.rows != basis.cols:
-            raise ValueError("lattice basis must be square (full rank)")
-        if basis.rows and basis.det() == 0:
+    def __init__(self, generators: QMatrix):
+        """Any n x m generator matrix of rank n; its Hermite form has one
+        column per unit of rank, so a rank deficit shows as missing columns."""
+        self.basis = hnf_rational(generators)
+        self.n = generators.rows
+        if self.basis.cols != self.n:
             raise ValueError("lattice basis is singular")
-        self.n = basis.rows
-        self.basis = hnf_rational(basis)
 
     @classmethod
     def standard(cls, n: int) -> "Lattice":

@@ -24,13 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Sequence, Union
 
-from .balls import ComplexBall, PrecisionExhausted, RealBall, ball_mat_mul, ball_matrix
+from .balls import ComplexBall, RealBall, ball_mat_mul, ball_matrix
 from . import fl as fl_mod
 from .fl import FilPhiModule, LocalLatticeSpec, standard_module
 from .hodge import HodgeStructure, line_metric, purity_check
-from .lines import MetrizedLine, ValuationMap, intersect_adelic
+from .lines import Lattice, MetrizedLine, ValuationMap, intersect_adelic
 from .rational import QMatrix, is_prime, prime_factors, vp
 
 
@@ -212,10 +212,10 @@ def validate(m: MotiveData) -> ValidationReport:
             got = datum.filtration_rank(r)
             if got != want:
                 issues.append(f"{where}: rank D^{r} = {got}, expected {want}")
-        rep = fl_mod.check_strong_divisibility(datum)
-        if not rep.ok:
-            issues.append(f"{where}: strong divisibility fails "
-                          f"(lattice sum has basis {rep.witness.basis.data})")
+        try:
+            m.local_spec(p)  # decides strong divisibility
+        except ValueError as exc:
+            issues.append(f"{where}: {exc}")
 
     for p in sorted(m.bad_primes):
         if not isinstance(m.local.get(p), LocalLatticeSpec):
@@ -392,7 +392,6 @@ def rebase_reference(m: MotiveData, r_mat: QMatrix) -> MotiveData:
     for p in sorted(set(m.local) | touched):
         datum = m.local.get(p)
         if isinstance(datum, FilPhiModule):
-            from .lines import Lattice
             local[p] = FilPhiModule(
                 p, Lattice(r_inv @ datum.lattice.basis),
                 r_inv @ datum.phi @ r_mat,
@@ -488,12 +487,6 @@ def elliptic_curve_h1(omega1: ComplexBall, omega2: ComplexBall,
 
 def elliptic_fl_module(p: int, a_p: int) -> FilPhiModule:
     """Good-reduction filtered module of H_1 at p with trace a_p."""
-    from .lines import Lattice
-
     phi = QMatrix([[Fraction(a_p, p), 1], [Fraction(-1, p), 0]])
     fil = {0: QMatrix.from_columns([(0, 1)], rows=2)}
-    m = FilPhiModule(p, Lattice.standard(2), phi, fil, (-1, 1))
-    rep = fl_mod.check_strong_divisibility(m)
-    if not rep.ok:
-        raise AssertionError(f"strong divisibility fails at p={p}, a_p={a_p}")
-    return m
+    return FilPhiModule(p, Lattice.standard(2), phi, fil, (-1, 1))

@@ -52,15 +52,12 @@ class QMatrix:
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], rows: int | None = None) -> "QMatrix":
         columns = [tuple(c) for c in columns]
-        if columns:
-            n = len(columns[0])
-            return cls([[columns[j][i] for j in range(len(columns))] for i in range(n)])
-        if rows is None:
+        n = len(columns[0]) if columns else rows
+        if n is None:
             raise ValueError("need explicit row count for an empty column list")
-        m = cls.__new__(cls)
-        m.data = tuple(() for _ in range(rows))
-        m.rows, m.cols = rows, 0
-        return m
+        if n == 0 or not columns:
+            return cls._empty(n, len(columns))
+        return cls([[c[i] for c in columns] for i in range(n)])
 
     def __getitem__(self, ij):
         i, j = ij
@@ -116,9 +113,6 @@ class QMatrix:
 
     def is_integer(self) -> bool:
         return all(x.denominator == 1 for row in self.data for x in row)
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
 
     def denominator_lcm(self) -> int:
         from math import lcm
@@ -181,22 +175,7 @@ class QMatrix:
                 if i != k and aug[i][k]:
                     f = aug[i][k]
                     aug[i] = [a - f * b for a, b in zip(aug[i], aug[k])]
-        return QMatrix([row[n:] for row in aug]) if m else QMatrix._empty(n, 0)
-
-    def kernel(self) -> "QMatrix":
-        """Rational kernel basis, one column per free variable."""
-        work, pivots = _row_echelon([list(r) for r in self.data])
-        pivot_cols = set(pivots)
-        free = [j for j in range(self.cols) if j not in pivot_cols]
-        basis = []
-        for jf in free:
-            v = [Fraction(0)] * self.cols
-            v[jf] = Fraction(1)
-            for i, jp in reversed(list(enumerate(pivots))):
-                s = -sum(work[i][j] * v[j] for j in range(jp + 1, self.cols))
-                v[jp] = s / work[i][jp]
-            basis.append(v)
-        return QMatrix.from_columns(basis, rows=self.cols)
+        return QMatrix([row[n:] for row in aug]) if n and m else QMatrix._empty(n, m)
 
 
 def _row_echelon(work: list[list[Fraction]]):

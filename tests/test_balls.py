@@ -210,3 +210,15 @@ def test_ball_det_singular_raises():
 
 def test_det_empty_is_one():
     assert ball_det(()).re.mid == 1
+
+
+def test_string_midpoint_rejected():
+    # "0.1" would round to a binary value with radius 0, excluding 1/10
+    with pytest.raises(TypeError, match="from_decimal"):
+        RealBall("0.1")
+    with pytest.raises(TypeError):
+        RealBall("1")
+    ball = RealBall.from_decimal("0.1")
+    mid = RealBall(ball.mid).exact_fraction()
+    rad = RealBall(ball.rad).exact_fraction()
+    assert 0 < rad and abs(mid - Fraction(1, 10)) <= rad

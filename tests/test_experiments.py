@@ -309,3 +309,39 @@ def test_abc_report_rows_deterministic():
     assert lines[1].startswith("id\t")
     assert len(lines) == 2 + 3
     assert lines[2].startswith("Q(0)\t0\t1\t0.0")
+
+
+def test_invariance_experiment_one_metric_per_motive(monkeypatch):
+    import motive_height.motive as motive_mod
+
+    calls = []
+    original = motive_mod.line_metric
+
+    def counting(h, target):
+        calls.append(h)
+        return original(h, target)
+
+    monkeypatch.setattr(motive_mod, "line_metric", counting)
+    m = tate_motive(1, fl_primes=(3,))
+    rep = invariance_experiment(m, full_quotient_spec(m, 3), 2)
+    assert rep.passed
+    assert len(calls) == 2
+    assert rep.lattice_ratio == rep.sub_height.lattice_scalar / rep.base_height.lattice_scalar
+
+
+def test_sublattice_strong_divisibility_verdict_comes_from_local_valuations(monkeypatch):
+    from motive_height import fl
+    from motive_height.experiments import StrongDivisibilityLost
+
+    m = tate_motive(1, fl_primes=(3,))
+    spec = full_quotient_spec(m, 3)
+    validate(m)  # the base module keeps its real verdict
+    original = fl.check_strong_divisibility
+
+    def failing(module):
+        return fl.StrongDivisibilityReport(False, original(module).witness)
+
+    monkeypatch.setattr(fl, "check_strong_divisibility", failing)
+    with pytest.raises(StrongDivisibilityLost, match="not strongly divisible") as info:
+        sublattice_motive(m, spec, 1)
+    assert "lattice sum has basis" in str(info.value.__cause__)

@@ -14,7 +14,7 @@ from motive_height.lines import (
     line_tensor,
     quotient_lattice_valuation,
 )
-from motive_height.rational import QMatrix
+from motive_height.rational import QMatrix, hnf_rational
 from conftest import random_unimodular
 
 
@@ -137,3 +137,23 @@ def test_lattice_canonical_scale():
     a = Lattice(QMatrix([[2, 1], [0, 3]]))
     b = Lattice(QMatrix([[2, 3], [0, 3]]))  # same lattice, different basis
     assert a == b
+
+
+def test_lattice_from_generators_is_its_hermite_form():
+    gens = QMatrix([[2, 4, 1], [0, 6, 3]])  # 2 x 3, full rank
+    lattice = Lattice(gens)
+    assert lattice.n == 2
+    assert lattice.basis.cols == 2
+    assert lattice == Lattice(hnf_rational(gens))
+    assert lattice == Lattice(QMatrix([[1, 2], [3, 0]]))  # (4, 6) is redundant
+
+
+@pytest.mark.parametrize("gens", [
+    QMatrix([[1, 2, 3], [2, 4, 6]]),   # rank 1 among three columns
+    QMatrix([[1, 2], [2, 4]]),         # square, singular
+    QMatrix.from_columns([(1, 0)], rows=2),
+    QMatrix.zeros(2, 0),
+])
+def test_lattice_rank_deficient_generators_raise(gens):
+    with pytest.raises(ValueError, match="lattice basis is singular"):
+        Lattice(gens)

@@ -48,9 +48,28 @@ def test_validate_reports_strong_divisibility_failure():
                    {5: bad_fl})
     rep = validate(m)
     assert not rep.ok
-    assert any("strong divisibility" in s for s in rep.issues)
+    assert rep.issues == ["local datum at p=5: strong divisibility fails "
+                          "(lattice sum has basis ((Fraction(1, 5),),))"]
     with pytest.raises(InvalidMotive):
         height(m)
+
+
+def test_height_decides_strong_divisibility_once_per_module(monkeypatch):
+    from motive_height import fl
+    from motive_height.documents import example_document, parse_motive
+
+    calls = []
+    original = fl.check_strong_divisibility
+
+    def counting(module):
+        calls.append(module.p)
+        return original(module)
+
+    monkeypatch.setattr(fl, "check_strong_divisibility", counting)
+    m = parse_motive(example_document("elliptic:square"))
+    height(m)
+    height(m)
+    assert sorted(calls) == [3, 5]
 
 
 def test_validate_window_too_wide_at_construction():

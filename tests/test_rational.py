@@ -145,3 +145,16 @@ def test_vp_and_primality():
     assert vp(Fraction(8, 5), 5) == -1
     assert vp(Fraction(8, 5), 3) == 0
     assert is_prime(2) and is_prime(97) and not is_prime(91) and not is_prime(1)
+
+
+def test_empty_shapes_survive_transpose_and_products():
+    k_by_0 = QMatrix.zeros(3, 0)
+    assert (k_by_0.transpose().rows, k_by_0.transpose().cols) == (0, 3)
+    empty = QMatrix.from_columns([(), (), ()])
+    assert (empty.rows, empty.cols) == (0, 3)
+    gram = k_by_0.transpose() @ k_by_0
+    assert (gram.rows, gram.cols) == (0, 0)
+    rhs = k_by_0.transpose() @ QMatrix.from_columns([(1, 2, 3)], rows=3)
+    assert (rhs.rows, rhs.cols) == (0, 1)
+    sol = gram.solve(rhs)
+    assert (sol.rows, sol.cols) == (0, 1)
