@@ -19,7 +19,7 @@ from .balls import ComplexBall, RealBall
 from .experiments import QuotientSpec
 from .fl import FilPhiModule, LocalLatticeSpec
 from .lines import Lattice
-from .motive import MotiveData, MotiveType
+from .motive import InvalidMotive, MotiveData, MotiveType
 from .rational import QMatrix
 
 FORMAT_VERSION = "1"
@@ -186,7 +186,6 @@ def _parse_fl(spec, p: int, mtype: MotiveType, where: str) -> FilPhiModule:
         raise
     except ValueError as exc:
         # shape was fine, the mathematics is not: a validation failure
-        from .motive import InvalidMotive
         raise InvalidMotive([f"{where}: {exc}"])
 
 

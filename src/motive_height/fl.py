@@ -3,9 +3,10 @@
 A module here is a full-rank lattice D in the ambient Q^n (coordinates are
 the de Rham reference basis at p, adapted to the filtration: the subspace
 spanned by a filtration step is a span of trailing standard basis vectors),
-an invertible rational Frobenius matrix, and a nested chain of saturated
-sub-lattices D^i over a window [a, b) of length at most p - 1, with
-D^a = D and D^b = 0.
+an invertible rational Frobenius matrix, and steps D^i over a window [a, b)
+of length at most p - 1, with D^a = D, D^b = 0 and each D^i equal to
+D ∩ span(D^i) at p.  D is kept in Hermite form, lower triangular, and every
+p-local index below is read off that one basis.
 
 The lattice identity D = sum_i p^{-i} phi D^i (strong divisibility) is
 checked, never assumed, by ``local_valuations``.  The local integral
@@ -26,7 +27,6 @@ from typing import Mapping, Optional, Sequence
 from .lines import Lattice, NotSublattice, quotient_lattice_valuation
 from .rational import (
     QMatrix,
-    hnf_rational,
     integer_kernel,
     is_p_integral,
     is_prime,
@@ -44,10 +44,10 @@ class FilPhiModule:
     """Filtered phi-module (D, phi, (D^i)) at p.
 
     Construction checks the shape: p prime, a window of length at most
-    p - 1, phi invertible, and each D^i adapted, nested and saturated in D
-    at p.  Strong divisibility is not checked here: ``local_valuations``
-    decides it, once per prime of a motive, and ``motive.validate`` reaches
-    it through ``MotiveData.local_spec``.
+    p - 1, phi invertible, and each D^i adapted, of non-increasing rank and
+    equal to D ∩ span(D^i) at p.  Strong divisibility is not checked here:
+    ``local_valuations`` decides it, once per prime of a motive, and
+    ``motive.validate`` reaches it through ``MotiveData.local_spec``.
     """
 
     __slots__ = ("p", "n", "lattice", "phi", "window", "_fil")
@@ -92,34 +92,33 @@ class FilPhiModule:
             raise ValueError(f"D^{i} must vanish")
 
     def _validate_filtration(self):
-        p = self.p
-        prev = self.lattice.basis
-        prev_rank = self.n
+        p, n = self.p, self.n
+        basis = self.lattice.basis
+        prev_rank = n
         for i in range(self.window[0] + 1, self.window[1]):
             m = self._fil[i]
-            if m.rows != self.n:
+            if m.rows != n:
                 raise ValueError(f"D^{i} has wrong ambient dimension")
             k = m.cols
             if k > prev_rank:
                 raise ValueError(f"filtration ranks increase at step {i}")
-            if m.rank() != k:
-                raise ValueError(f"D^{i} basis is not independent")
             # adapted span: only the trailing k coordinates may appear
-            for row in range(self.n - k):
+            for row in range(n - k):
                 if any(m[row, j] != 0 for j in range(k)):
                     raise ValueError(
                         f"D^{i} is not adapted: spans more than the last {k} "
                         f"reference coordinates")
-            # nested in the previous step, p-locally
-            if not _contained_at_p(prev, m, p):
-                raise NotSublattice(f"D^{i} escapes D^{i - 1} at p = {p}")
-            # saturated in D at p
-            dcoords = _coords_in(self.lattice.basis, m)
-            if dcoords is None or not _all_p_integral(dcoords, p):
-                raise NotSublattice(f"D^{i} is not contained in D at p = {p}")
-            if not _saturated_at_p(dcoords, p):
-                raise ValueError(f"D^{i} is not saturated in D at p = {p}")
-            prev, prev_rank = m, k
+            # D ∩ span(D^i) at p is spanned by the last k Hermite columns of
+            # D: their bottom block T must carry the bottom rows of D^i by a
+            # p-integral X with det X a p-unit (the steps then nest)
+            t = QMatrix([row[n - k:] for row in basis.data[n - k:]])
+            x = t.solve(QMatrix(m.data[n - k:]))
+            d = x.det()
+            if not (_all_p_integral(x, p) and d and vp(d, p) == 0):
+                raise ValueError(
+                    f"D^{i} is not D ∩ span of the last {k} reference "
+                    f"coordinates at p = {p}")
+            prev_rank = k
 
     # ---- accessors ----
 
@@ -208,15 +207,13 @@ def check_strong_divisibility(m: FilPhiModule) -> StrongDivisibilityReport:
 
 
 def tate_twist(m: FilPhiModule, r: int) -> FilPhiModule:
-    """Twist: filtration shifts by r, phi scales by p^{-r}; D is unchanged."""
+    """Twist: filtration shifts by r, phi scales by p^{-r}; D and the lattice
+    sum_i p^{-i} phi D^i are unchanged, so strong divisibility is m's."""
     r = int(r)
     a, b = m.window
     fil = {i - r: m.filtration_matrix(i) for i in range(a + 1, b)}
-    twisted = FilPhiModule(m.p, m.lattice, m.phi.scale(Fraction(1, m.p) ** r),
-                           fil, (a - r, b - r))
-    if not check_strong_divisibility(twisted).ok:
-        raise ValueError("strong divisibility lost under Tate twist")
-    return twisted
+    return FilPhiModule(m.p, m.lattice, m.phi.scale(Fraction(1, m.p) ** r),
+                        fil, (a - r, b - r))
 
 
 # ---------------------------------------------------------------------------
@@ -301,30 +298,23 @@ class LocalLatticeSpec:
 
 
 def local_valuations(m: FilPhiModule) -> LocalLatticeSpec:
-    """Valuations v(r) = v_p(det(D / D^r)) against the reference quotient basis.
+    """Valuations v(r) = v_p[D / D^r : reference quotient lattice].
 
     This is where a module's strong divisibility is decided: without it
     there is no integral structure, and ValueError says so with the lattice
-    sum as witness.  The quotient is taken by dropping the trailing adapted
-    coordinates spanned by D^r.
+    sum as witness.  Since D^r = D ∩ span(D^r) at p, D / D^r is D projected
+    onto the first n - rank D^r coordinates: the leading block of D's
+    lower-triangular Hermite basis.
     """
     report = check_strong_divisibility(m)
     if not report.ok:
         raise ValueError(f"strong divisibility fails "
                          f"(lattice sum has basis {report.witness.basis.data})")
     a, b = m.window
-    values = {r: _quotient_valuation(m, r) for r in range(a, b + 1)}
+    diag = [vp(m.lattice.basis[j, j], m.p) for j in range(m.n)]
+    values = {r: sum(diag[:m.n - m.filtration_rank(r)]) for r in range(a, b + 1)}
     return LocalLatticeSpec(m.p, (a, b), tuple(sorted(values.items())),
                             "computed-from-FL")
-
-
-def _quotient_valuation(m: FilPhiModule, r: int) -> int:
-    k = m.filtration_rank(r)
-    keep = m.n - k
-    if keep == 0:
-        return 0
-    projected = QMatrix([m.lattice.basis.data[i] for i in range(keep)])
-    return vp(hnf_rational(projected).det(), m.p)
 
 
 # ---------------------------------------------------------------------------

@@ -41,10 +41,6 @@ class Lattice:
     def standard(cls, n: int) -> "Lattice":
         return cls(QMatrix.identity(n))
 
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence], n: int) -> "Lattice":
-        return cls(QMatrix.from_columns(columns, rows=n))
-
     def __eq__(self, other):
         return isinstance(other, Lattice) and self.basis == other.basis
 
@@ -54,34 +50,29 @@ class Lattice:
     def __repr__(self):
         return f"Lattice({self.basis!r})"
 
-    def det(self) -> Fraction:
-        return self.basis.det()
-
     def scale(self, c) -> "Lattice":
         return Lattice(self.basis.scale(c))
-
-    def change_of_basis_from(self, other: "Lattice") -> QMatrix:
-        """Matrix C with other.basis @ C = self.basis."""
-        return other.basis.solve(self.basis)
 
 
 def quotient_lattice_valuation(outer: Lattice, inner: Lattice, p: int) -> int:
     """v_p of the index [outer : inner] after localization at p.
 
     Requires inner to be a sublattice of outer at p (the change-of-basis
-    matrix must be p-integral); raises NotSublattice otherwise.
+    matrix must be p-integral); raises NotSublattice otherwise.  Both
+    Hermite bases are lower triangular, so the index is the ratio of their
+    diagonals.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if outer.n != inner.n:
         raise ValueError("ambient dimension mismatch")
-    c = inner.change_of_basis_from(outer)
-    for row in c.data:
+    for row in outer.basis.solve(inner.basis).data:
         for x in row:
             if not is_p_integral(x, p):
                 raise NotSublattice(
                     f"inner lattice escapes the outer one at p={p}")
-    return vp(c.det(), p)
+    return sum(vp(inner.basis[j, j], p) - vp(outer.basis[j, j], p)
+               for j in range(outer.n))
 
 
 class ValuationMap:

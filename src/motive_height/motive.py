@@ -182,9 +182,6 @@ def validate(m: MotiveData) -> ValidationReport:
         if not rep.ok:
             issues.append("induced Hodge structure is not pure: "
                           + "; ".join(rep.messages))
-        elif rep.dims != dict(m.type.hodge_numbers):
-            issues.append(f"Hodge piece dimensions {rep.dims} disagree "
-                          f"with the declared type")
 
     for p, datum in m.local.items():
         where = f"local datum at p={p}"

@@ -89,10 +89,14 @@ class QMatrix:
 
     def scale(self, c) -> "QMatrix":
         c = _frac(c)
+        if not self.rows:
+            return self
         return QMatrix([[x * c for x in row] for row in self.data])
 
     def __add__(self, other):
         assert (self.rows, self.cols) == (other.rows, other.cols)
+        if not self.rows:
+            return self
         return QMatrix([[a + b for a, b in zip(ra, rb)]
                         for ra, rb in zip(self.data, other.data)])
 

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from motive_height.fl import (
     tate_twist,
 )
 from motive_height.lines import Lattice, NotSublattice
-from motive_height.rational import QMatrix
+from motive_height.rational import QMatrix, hnf_rational, vp
 from conftest import random_fl_module
 
 
@@ -35,25 +36,14 @@ def trivial_module(p=5) -> FilPhiModule:
 # Hermite-form route used by the package.
 # ---------------------------------------------------------------------------
 
-def oracle_strong_divisibility(m: FilPhiModule) -> bool:
-    p = m.p
-    a, b = m.window
-    gen_cols = []
-    for i in range(a, b):
-        fil = m.filtration_matrix(i)
-        if fil.cols:
-            scaled = (m.phi @ fil).scale(Fraction(1, p) ** i)
-            gen_cols.extend(scaled.columns())
-    coords = m.lattice.basis.solve(QMatrix.from_columns(gen_cols, rows=m.n))
-    for row in coords.data:
-        for x in row:
-            if x.denominator % p == 0:
-                return False
-    # rank of coords over F_p
+def p_integral_rank_mod_p(coords: QMatrix, p: int):
+    """Rank over F_p of a p-integral matrix, or None if it is not p-integral."""
+    if any(x.denominator % p == 0 for row in coords.data for x in row):
+        return None
     red = [[(x.numerator * pow(x.denominator, -1, p)) % p for x in row]
            for row in coords.data]
     rank = 0
-    rows, cols = len(red), len(red[0])
+    rows, cols = len(red), coords.cols
     for c in range(cols):
         piv = next((r for r in range(rank, rows) if red[r][c] % p), None)
         if piv is None:
@@ -66,7 +56,20 @@ def oracle_strong_divisibility(m: FilPhiModule) -> bool:
                 f = red[r][c]
                 red[r] = [(v - f * w) % p for v, w in zip(red[r], red[rank])]
         rank += 1
-    return rank == m.n
+    return rank
+
+
+def oracle_strong_divisibility(m: FilPhiModule) -> bool:
+    p = m.p
+    a, b = m.window
+    gen_cols = []
+    for i in range(a, b):
+        fil = m.filtration_matrix(i)
+        if fil.cols:
+            scaled = (m.phi @ fil).scale(Fraction(1, p) ** i)
+            gen_cols.extend(scaled.columns())
+    coords = m.lattice.basis.solve(QMatrix.from_columns(gen_cols, rows=m.n))
+    return p_integral_rank_mod_p(coords, p) == m.n
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +107,44 @@ def test_filtration_must_be_adapted():
 
 def test_filtration_saturation_checked():
     fil = {0: QMatrix.from_columns([(0, 5)], rows=2)}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(
+            "D^0 is not D ∩ span of the last 1 reference coordinates at p = 5")):
         FilPhiModule(5, Lattice.standard(2), QMatrix.identity(2), fil, (-1, 1))
+
+
+def oracle_step_valid(lattice: Lattice, step: QMatrix, p: int) -> bool:
+    """An adapted step is D ∩ span at p iff its coordinates in D are
+    p-integral and have full rank k modulo p."""
+    return p_integral_rank_mod_p(lattice.basis.solve(step), p) == step.cols
+
+
+def test_filtration_verdict_matches_mod_p_oracle(rng):
+    # perturb one step of a valid module inside its adapted span
+    verdicts = []
+    for _ in range(150):
+        p = rng.choice([3, 5, 7])
+        m = random_fl_module(rng, p, levels=sorted(
+            rng.randint(0, 1) for _ in range(rng.randint(2, 4))))
+        fil = {i: m.filtration_matrix(i)
+               for i in range(m.window[0] + 1, m.window[1])}
+        steps = [i for i in fil if fil[i].cols]
+        if not steps:
+            continue
+        i = rng.choice(steps)
+        k = fil[i].cols
+        g = [[Fraction(rng.randint(-3, 3), rng.choice([1, 1, p]))
+              for _ in range(k)] for _ in range(k)]
+        fil[i] = fil[i] @ QMatrix(g)
+        want = all(oracle_step_valid(m.lattice, fil[j], p) for j in fil)
+        try:
+            FilPhiModule(p, m.lattice, m.phi, fil, m.window)
+            got = True
+        except ValueError as exc:
+            assert "is not D ∩ span" in str(exc)
+            got = False
+        assert got == want
+        verdicts.append(got)
+    assert verdicts.count(True) >= 10 and verdicts.count(False) >= 10
 
 
 def test_strong_divisibility_matches_oracle_random(rng):
@@ -185,7 +224,7 @@ def test_twist_involution(rng):
 def test_twist_preserves_strong_divisibility(rng):
     for _ in range(10):
         m = random_fl_module(rng, 7)
-        t = tate_twist(m, rng.randint(-1, 1))  # raises if divisibility lost
+        t = tate_twist(m, rng.randint(-1, 1))
         assert check_strong_divisibility(t).ok
 
 
@@ -287,6 +326,34 @@ def test_local_valuations_scaled_lattice():
     assert spec.value(1) == n
     assert spec.value(0) == 0
     assert spec.value(7) == n  # stabilized
+
+
+def projection_valuation(m: FilPhiModule, r: int) -> int:
+    """v_p of the index of D / D^r, by projecting D onto its first
+    n - rank D^r coordinates and taking the determinant of a Hermite basis."""
+    keep = m.n - m.filtration_rank(r)
+    if keep == 0:
+        return 0
+    projected = QMatrix([m.lattice.basis.data[i] for i in range(keep)])
+    return vp(hnf_rational(projected).det(), m.p)
+
+
+def test_local_valuations_match_projection_formula(rng):
+    from conftest import adapted_block_lower
+    for _ in range(30):
+        p = rng.choice([3, 5, 7])
+        m = random_fl_module(rng, p)
+        g = adapted_block_lower(rng, m.coordinate_levels(), p)
+        c = Fraction(p) ** rng.randint(-2, 2)
+        a, b = m.window
+        rebased = FilPhiModule(
+            p, Lattice((g @ m.lattice.basis).scale(c)), g @ m.phi @ g.inverse(),
+            {i: (g @ m.filtration_matrix(i)).scale(c) for i in range(a + 1, b)},
+            m.window)
+        for module in (m, rebased):
+            spec = local_valuations(module)
+            for r in range(a, b + 1):
+                assert spec.value(r) == projection_valuation(module, r)
 
 
 def test_twist_compatibility_of_valuations(rng):

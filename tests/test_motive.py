@@ -72,6 +72,22 @@ def test_height_decides_strong_divisibility_once_per_module(monkeypatch):
     assert sorted(calls) == [3, 5]
 
 
+def test_tate_twist_decides_strong_divisibility_once_per_module(monkeypatch):
+    from motive_height import fl
+
+    calls = []
+    original = fl.check_strong_divisibility
+
+    def counting(module):
+        calls.append(module.window)
+        return original(module)
+
+    monkeypatch.setattr(fl, "check_strong_divisibility", counting)
+    height(tate_twist(tate_motive(1, fl_primes=(3,)), 1))
+    # once for Q(1), which the twist requires valid, and once for Q(2)
+    assert calls == [(-1, 0), (-2, -1)]
+
+
 def test_validate_window_too_wide_at_construction():
     with pytest.raises(WindowTooWide):
         FilPhiModule(3, Lattice.standard(4), QMatrix.identity(4),

@@ -158,3 +158,12 @@ def test_empty_shapes_survive_transpose_and_products():
     assert (rhs.rows, rhs.cols) == (0, 1)
     sol = gram.solve(rhs)
     assert (sol.rows, sol.cols) == (0, 1)
+
+
+def test_zero_row_shapes_survive_scale_and_sums():
+    empty = QMatrix.from_columns([(), (), ()])
+    for m in (empty.scale(2), empty + empty, empty - empty):
+        assert (m.rows, m.cols) == (0, 3)
+    # the Hermite form drops zero columns, in Q^0 as in Q^2
+    assert (hnf_rational(empty).rows, hnf_rational(empty).cols) == (0, 0)
+    assert hnf_rational(QMatrix.zeros(2, 3)) == QMatrix.zeros(2, 0)
