@@ -8,6 +8,12 @@ exact balls (radius zero) are carried out exactly and kept exact when the
 exact result is representable at the working precision, so identities like
 h(Q(0)) = 0 come out with radius literally zero.
 
+Determinants and solves run in one integer fixed-point elimination with
+radii counted in ulps (after Arb, arXiv:1611.02831): entries, scaled by
+powers of two, are Gaussian integers at scale 2^(mp.prec + _FIX_GUARD) with
+one integer disk radius each.  Every rounding is bounded in integers, and an
+ulp is added only where bits are dropped, so exact data stay exact.
+
 Precision is process-global (it wraps mpmath's context): use
 ``working_precision(bits)`` around a computation.  The stated bit count is
 the nominal fractional precision; a fixed number of guard bits is added
@@ -17,10 +23,11 @@ internally.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from math import isqrt
+from typing import Iterable, Union
 
 from mpmath import mp, mpf, isfinite
-from mpmath.libmp import mpf_abs, mpf_neg
+from mpmath.libmp import from_man_exp, mpf_abs, mpf_neg, round_up
 
 _DEFAULT_BITS = 128
 _GUARD_BITS = 30
@@ -447,11 +454,6 @@ def ball_matrix(rows: Iterable[Iterable]) -> BallMatrix:
     return tuple(tuple(_coerce_complex(x) for x in row) for row in rows)
 
 
-def ball_identity(n: int) -> BallMatrix:
-    return tuple(tuple(ComplexBall.one() if i == j else ComplexBall.zero()
-                       for j in range(n)) for i in range(n))
-
-
 def ball_mat_mul(a: BallMatrix, b: BallMatrix) -> BallMatrix:
     n, k, m = len(a), len(b), len(b[0]) if b else 0
     assert all(len(r) == k for r in a)
@@ -467,65 +469,100 @@ def ball_mat_mul(a: BallMatrix, b: BallMatrix) -> BallMatrix:
     return tuple(out)
 
 
-def _pivot_row(col: Sequence[ComplexBall], start: int) -> int:
-    best, best_mag = -1, mpf(-1)
-    for i in range(start, len(col)):
-        mag = col[i].re.mid ** 2 + col[i].im.mid ** 2
-        if mag > best_mag:
-            best, best_mag = i, mag
-    return best
+_FIX_GUARD = 8  # bits of the fixed point beyond mp.prec
+
+
+def _fixed(z: ComplexBall, shift: int) -> tuple[int, int, int]:
+    """z 2^shift as a truncated Gaussian integer and a disk radius: z's
+    radii rounded up, plus an ulp for each part that lost bits."""
+    parts, lost = [], 0
+    for sign, man, exp, _ in (x._mpf_ for x in (z.re.mid, z.im.mid, z.re.rad, z.im.rad)):
+        v = man << (exp + shift) if exp + shift >= 0 else man >> -(exp + shift)
+        parts.append(-v if sign else v)
+        lost += exp + shift < 0 and v << -(exp + shift) != man
+    return parts[0], parts[1], parts[2] + parts[3] + lost
+
+
+def _divide(ar: int, ai: int, ra: int, pivot: tuple, shift: int) -> tuple[int, int, int]:
+    """(a / p) 2^shift with its radius, for a = ar + i ai (radius ra)."""
+    pr, pi, rp, norm, low = pivot
+    fr, er = divmod((ar * pr + ai * pi) << shift, norm)
+    fi, ei = divmod((ai * pr - ar * pi) << shift, norm)
+    rf = (er != 0) + (ei != 0)
+    if ra or rp:
+        # |A/P - a/p| <= (ra + |a/p| rp) / (|p| - rp), and |a/p| 2^shift is
+        # below |f| + 2 as f is the floor of a/p 2^shift in each part
+        rf -= -((ra << shift) + (isqrt(fr * fr + fi * fi) + 3) * rp) // (low - rp)
+    return fr, fi, rf
+
+
+def _complex_ball(re: int, im: int, rad: int, exp: int) -> ComplexBall:
+    """(re + i im) 2^exp with disk radius rad 2^exp, as a rectangle."""
+    r = mp.make_mpf(from_man_exp(rad, exp, 32, round_up))
+    return ComplexBall(RealBall(mp.make_mpf(from_man_exp(re, exp)), r),
+                       RealBall(mp.make_mpf(from_man_exp(im, exp)), r))
+
+
+def _eliminate(a: BallMatrix, rhs: BallMatrix | None = None):
+    """Eliminate [a | rhs] in fixed point, pivoting on the largest |mid|^2:
+    below each pivot, or with ``rhs`` in every other row (Gauss-Jordan).
+    Returns (F, pivots, rows, sign, exp, col): pivot k is (pr, pi, rp, |p|^2,
+    isqrt |p|^2), row k the lists (re, im, radius) of its row, column j was
+    scaled by 2^-col[j], and det a = sign prod_k (pr + i pi) 2^exp."""
+    n, frac = len(a), mp.prec + _FIX_GUARD
+    mask = (1 << frac) - 1
+    full = [tuple(a[i]) + (tuple(rhs[i]) if rhs is not None else ()) for i in range(n)]
+    mags = [[max((e + bc for _, man, e, bc in (z.re.mid._mpf_, z.im.mid._mpf_) if man),
+                 default=None) for z in row] for row in full]
+    col = [max((m for m in c if m is not None), default=0) for c in zip(*mags)]
+    rows, exp, sign, pivots = [], sum(col[:n]) - n * frac, 1, []
+    for row, mag in zip(full, mags):
+        top = max((m - c for m, c in zip(mag[:n], col) if m is not None), default=0)
+        exp += top
+        rows.append(tuple(map(list, zip(*(_fixed(z, frac - top - c)
+                                          for z, c in zip(row, col))))))
+    for k in range(n):
+        piv = max(range(k, n), key=lambda i: rows[i][0][k] ** 2 + rows[i][1][k] ** 2)
+        if piv != k:
+            rows[k], rows[piv], sign = rows[piv], rows[k], -sign
+        pre, pim, prad = rows[k]
+        norm = pre[k] ** 2 + pim[k] ** 2
+        pivots.append((pre[k], pim[k], prad[k], norm, isqrt(norm)))
+        if pivots[-1][4] <= prad[k]:
+            raise PrecisionExhausted("a pivot ball contains zero at the working precision")
+        babs = [isqrt(x * x + y * y) + 1 for x, y in zip(pre, pim)]
+        for i in (range(n) if rhs is not None else range(k + 1, n)):
+            re, im, rad = rows[i]
+            fr, fi, rf = _divide(re[k], im[k], rad[k], pivots[-1], frac) if i != k else (0, 0, 0)
+            fabs = isqrt(fr * fr + fi * fi) + 1
+            for j in range(k + 1, len(col)) if fr or fi or rf else ():
+                xr, xi = fr * pre[j] - fi * pim[j], fr * pim[j] + fi * pre[j]
+                re[j] -= xr >> frac
+                im[j] -= xi >> frac
+                # c - f b moves by <= |f| rb + |b| rf + rf rb, plus two floors
+                rad[j] += ((xr & mask) != 0) + ((xi & mask) != 0) - (
+                    -(fabs * prad[j] + babs[j] * rf + rf * prad[j]) >> frac)
+    return frac, pivots, rows, sign, exp, col
 
 
 def ball_lu_solve(a: BallMatrix, b: BallMatrix) -> BallMatrix:
-    """Solve a X = b by Gaussian elimination with partial pivoting.
+    """Solve a X = b by Gauss-Jordan elimination with partial pivoting.
 
     Raises PrecisionExhausted if some pivot ball contains zero (the matrix
     cannot be certified invertible at the working precision).
     """
-    n = len(a)
-    m = len(b[0]) if b else 0
-    aug = [list(ra) + list(rb) for ra, rb in zip(a, b)]
-    for k in range(n):
-        piv = _pivot_row([aug[i][k] for i in range(n)], k)
-        if piv != k:
-            aug[k], aug[piv] = aug[piv], aug[k]
-        pivot = aug[k][k]
-        if pivot.contains_zero():
-            raise PrecisionExhausted("singular pivot in ball linear solve")
-        for i in range(k + 1, n):
-            factor = aug[i][k] / pivot
-            aug[i][k] = ComplexBall.zero()
-            for j in range(k + 1, n + m):
-                aug[i][j] = aug[i][j] - factor * aug[k][j]
-    # back substitution
-    x = [[ComplexBall.zero()] * m for _ in range(n)]
-    for i in range(n - 1, -1, -1):
-        for j in range(m):
-            acc = aug[i][n + j]
-            for t in range(i + 1, n):
-                acc = acc - aug[i][t] * x[t][j]
-            x[i][j] = acc / aug[i][i]
-    return tuple(tuple(row) for row in x)
+    frac, pivots, rows, _, _, col = _eliminate(a, b)
+    return tuple(tuple(_complex_ball(*_divide(re[j], im[j], rad[j], pivot, frac),
+                                     col[j] - col[k] - frac) for j in range(len(a), len(re)))
+                 for k, ((re, im, rad), pivot) in enumerate(zip(rows, pivots)))
 
 
 def ball_det(a: BallMatrix) -> ComplexBall:
-    n = len(a)
-    if n == 0:
-        return ComplexBall.one()
-    work = [list(row) for row in a]
-    det = ComplexBall.one()
-    sign = 1
-    for k in range(n):
-        piv = _pivot_row([work[i][k] for i in range(n)], k)
-        if piv != k:
-            work[k], work[piv] = work[piv], work[k]
-            sign = -sign
-        pivot = work[k][k]
-        if pivot.contains_zero():
-            raise PrecisionExhausted("ball determinant cannot exclude zero")
-        det = det * pivot
-        for i in range(k + 1, n):
-            factor = work[i][k] / pivot
-            for j in range(k + 1, n):
-                work[i][j] = work[i][j] - factor * work[k][j]
-    return det if sign > 0 else -det
+    """det a = sign prod p_k, with radius prod (|p_k| + r_k) - prod |p_k|:
+    that grows with each |p_k|, so upper bounds of |p_k| may stand in."""
+    _, pivots, _, sign, exp, _ = _eliminate(a)
+    re, im, upper, widened = sign, 0, 1, 1
+    for pr, pi, rp, _, low in pivots:
+        re, im = re * pr - im * pi, re * pi + im * pr
+        upper, widened = upper * (low + 1), widened * (low + 1 + rp)
+    return _complex_ball(re, im, widened - upper, exp)

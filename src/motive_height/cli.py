@@ -16,6 +16,7 @@ exhaustion, 3 malformed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -205,6 +206,7 @@ def cmd_example(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache  # built once: parsing leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="motive-height",

@@ -21,10 +21,10 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .balls import RealBall, ball_mat_mul, ball_matrix
-from .fl import FilPhiModule, _contained_at_p, _saturated_at_p
+from .fl import FilPhiModule
 from .lines import Lattice
 from .motive import HeightReport, MotiveData, MotiveType, height, validate
-from .rational import QMatrix, hnf_rational, integer_kernel, smith_normal_form
+from .rational import QMatrix, hnf_rational, integer_kernel, is_p_integral, smith_normal_form
 
 
 class IncompatibleSpec(ValueError):
@@ -129,6 +129,33 @@ def full_quotient_spec(m: MotiveData, p: int, exponent: int = 1) -> QuotientSpec
     fil_u = tuple((i, binv @ fl.filtration_matrix(i)) for i in range(a + 1, b))
     return QuotientSpec(p, n, QMatrix.identity(n), QMatrix.identity(n),
                         phi_d, fil_u, exponent)
+
+
+def _coords_in(basis_matrix: QMatrix, cols: QMatrix) -> Optional[QMatrix]:
+    """Coordinates of ``cols`` in the (possibly non-square) basis matrix."""
+    k = basis_matrix.cols
+    if k == basis_matrix.rows:
+        return basis_matrix.solve(cols)
+    gram = basis_matrix.transpose() @ basis_matrix
+    rhs = basis_matrix.transpose() @ cols
+    coords = gram.solve(rhs)
+    if basis_matrix @ coords == cols:
+        return coords
+    return None
+
+
+def _contained_at_p(basis_matrix: QMatrix, cols: QMatrix, p: int) -> bool:
+    """``cols`` lie in the lattice spanned by ``basis_matrix``, localized at p."""
+    coords = _coords_in(basis_matrix, cols)
+    return coords is not None and all(
+        is_p_integral(x, p) for row in coords.data for x in row)
+
+
+def _saturated_at_p(coords: QMatrix, p: int) -> bool:
+    """The p-integral columns ``coords`` span a sublattice saturated at p: no
+    nonzero Smith divisor is divisible by p."""
+    divisors, _, _ = smith_normal_form(coords.scale(coords.denominator_lcm()))
+    return not any(d and d % p == 0 for d in divisors)
 
 
 def validate_spec(m: MotiveData, spec: QuotientSpec) -> None:

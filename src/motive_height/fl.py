@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from .lines import Lattice, NotSublattice, quotient_lattice_valuation
 from .rational import (
@@ -150,34 +150,8 @@ class FilPhiModule:
                 f"window={self.window})")
 
 
-def _coords_in(basis_matrix: QMatrix, cols: QMatrix) -> Optional[QMatrix]:
-    """Coordinates of ``cols`` in the (possibly non-square) basis matrix."""
-    k = basis_matrix.cols
-    if k == basis_matrix.rows:
-        return basis_matrix.solve(cols)
-    gram = basis_matrix.transpose() @ basis_matrix
-    rhs = basis_matrix.transpose() @ cols
-    coords = gram.solve(rhs)
-    if basis_matrix @ coords == cols:
-        return coords
-    return None
-
-
 def _all_p_integral(m: QMatrix, p: int) -> bool:
     return all(is_p_integral(x, p) for row in m.data for x in row)
-
-
-def _contained_at_p(basis_matrix: QMatrix, cols: QMatrix, p: int) -> bool:
-    """``cols`` lie in the lattice spanned by ``basis_matrix``, localized at p."""
-    coords = _coords_in(basis_matrix, cols)
-    return coords is not None and _all_p_integral(coords, p)
-
-
-def _saturated_at_p(coords: QMatrix, p: int) -> bool:
-    """The p-integral columns ``coords`` span a sublattice saturated at p: no
-    nonzero Smith divisor is divisible by p."""
-    divisors, _, _ = smith_normal_form(coords.scale(coords.denominator_lcm()))
-    return not any(d and d % p == 0 for d in divisors)
 
 
 # ---------------------------------------------------------------------------

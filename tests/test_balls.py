@@ -4,17 +4,24 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
+from motive_height import cli, hodge
 from motive_height.balls import (
     ComplexBall,
     PrecisionExhausted,
     RealBall,
     ball_det,
-    ball_identity,
     ball_lu_solve,
     ball_matrix,
     ball_mat_mul,
     working_precision,
 )
+from motive_height.documents import canonical_bytes
+from gaussian_oracle import ZERO, ball_contains, gdet, gsolve
+
+
+def ball_identity(n: int):
+    return tuple(tuple(ComplexBall.one() if i == j else ComplexBall.zero()
+                       for j in range(n)) for i in range(n))
 
 
 def contains_value(b: RealBall, x) -> bool:
@@ -222,3 +229,124 @@ def test_string_midpoint_rejected():
     mid = RealBall(ball.mid).exact_fraction()
     rad = RealBall(ball.rad).exact_fraction()
     assert 0 < rad and abs(mid - Fraction(1, 10)) <= rad
+
+
+# ---------------------------------------------------------------------------
+# the fixed-point elimination kernel behind ball_det and ball_lu_solve
+# ---------------------------------------------------------------------------
+
+def _random_entry(rng, exp2):
+    """A complex ball of magnitude about 2^exp2 and its exact value: either
+    an exact Gaussian rational or decimals carrying a stated accuracy."""
+    if rng.random() < 0.5:
+        value = tuple(Fraction(rng.randint(-99, 99), rng.randint(1, 9)) * Fraction(2) ** exp2
+                      for _ in range(2))
+        return ComplexBall.from_rationals(*value), value
+    exp10 = round(exp2 * 0.30103) - 12
+    digits = rng.choice([None, 20, 40])
+    texts = [f"{rng.randint(-10 ** 12, 10 ** 12)}e{exp10}" for _ in range(2)]
+    return (ComplexBall(*(RealBall.from_decimal(t, digits) for t in texts)),
+            tuple(Fraction(t) for t in texts))
+
+
+def test_kernel_encloses_exact_det_and_solve():
+    # rows of magnitude 2^-100 .. 2^100 and columns of 2^-60 .. 2^60 on top,
+    # entries exact or with decimal radii: the exact determinant and
+    # solution lie in every returned ball
+    rng = random.Random(2026)
+    certified = 0
+    for _ in range(50):
+        n, m = rng.randint(1, 12), rng.randint(1, 3)
+        cols = [rng.randint(-60, 60) for _ in range(n + m)]
+        rows = [[_random_entry(rng, e + c) for c in cols]
+                for e in (rng.randint(-100, 100) for _ in range(n))]
+        a = tuple(tuple(z for z, _ in row[:n]) for row in rows)
+        b = tuple(tuple(z for z, _ in row[n:]) for row in rows)
+        exact_a = [[v for _, v in row[:n]] for row in rows]
+        exact_b = [[v for _, v in row[n:]] for row in rows]
+        with working_precision(rng.choice([64, 128, 256])):
+            try:
+                d, x = ball_det(a), ball_lu_solve(a, b)
+            except PrecisionExhausted:
+                continue
+        certified += 1
+        det, truth = gsolve(exact_a, exact_b)
+        assert ball_contains(d, det)
+        assert all(ball_contains(x[i][j], truth[i][j]) for i in range(n) for j in range(m))
+    assert certified >= 45
+
+
+def test_near_singular_raises_until_the_precision_resolves_it():
+    # det [[1, 1/3], [3, 1 + 2^-200]] = 2^-200: invisible at 128 bits
+    eps = Fraction(1, 2 ** 200)
+    rows = [[(Fraction(1), Fraction(0)), (Fraction(1, 3), Fraction(0))],
+            [(Fraction(3), Fraction(0)), (1 + eps, Fraction(0))]]
+    a = tuple(tuple(ComplexBall.from_rationals(*v) for v in row) for row in rows)
+    with working_precision(128):
+        with pytest.raises(PrecisionExhausted):
+            ball_det(a)
+        with pytest.raises(PrecisionExhausted):
+            ball_lu_solve(a, ball_identity(2))
+    with working_precision(512):
+        a = tuple(tuple(ComplexBall.from_rationals(*v) for v in row) for row in rows)
+        d = ball_det(a)
+        assert ball_contains(d, gdet(rows)) and not d.contains_zero()
+
+
+def test_exactly_singular_goes_to_the_exact_decision(monkeypatch, capsys, tmp_path):
+    # F^1 = span(1/3, 1/7) is real, so D_1 = det[F^1 | conj F^1] vanishes
+    # exactly, but not in fixed point: the kernel raises and the exact test
+    # decides, which makes the document invalid (exit 1)
+    d1 = tuple(tuple(ComplexBall.from_rationals(q) for q in row)
+               for row in ((Fraction(1, 3), Fraction(1, 3)), (Fraction(1, 7), Fraction(1, 7))))
+    with pytest.raises(PrecisionExhausted):
+        ball_det(d1)
+    assert hodge._exactly_singular(d1)
+    decided = []
+    exactly_singular = hodge._exactly_singular
+    monkeypatch.setattr(hodge, "_exactly_singular",
+                        lambda m: decided.append(exactly_singular(m)) or decided[-1])
+    doc = {"format_version": "1", "metadata": {"id": "w1"},
+           "type": {"weight": 1, "hodge_numbers": {"0": 1, "1": 1}},
+           "period": [["1", "1/3"], ["0", "1/7"]], "local": [], "bad_primes": []}
+    path = tmp_path / "singular.json"
+    path.write_bytes(canonical_bytes(doc))
+    assert cli.main(["height", str(path)]) == 1
+    assert "D_1 = 0" in capsys.readouterr().err
+    assert decided == [True]
+
+
+def test_exact_triangular_det_has_radius_zero():
+    # rows of an upper triangular Gaussian-integer matrix, in any order:
+    # every factor and update is exact, so the determinant is too
+    rng = random.Random(5)
+    for n in range(1, 10):
+        rows = [[(Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-9, 9)))
+                 if j > i else ZERO for j in range(n)] for i in range(n)]
+        for i in range(n):
+            rows[i][i] = (Fraction(rng.choice([-3, -1, 1, 2, 5])), Fraction(rng.randint(-4, 4)))
+        rng.shuffle(rows)
+        d = ball_det(tuple(tuple(ComplexBall.from_rationals(*v) for v in row) for row in rows))
+        assert d.is_exact() and d.exact_value() == {0: gdet(rows)}
+
+
+
+def test_kernel_counts_every_dropped_bit_of_exact_data():
+    # exact entries: powers of two in the first column, so the first factors
+    # are exact, and 150-bit mantissas elsewhere, spread over 2^-8 .. 1 (they
+    # fit the fixed point, but the first updates drop bits) or 2^-250 .. 1
+    # (the conversion drops bits).  The ulps counted for those drops are then
+    # the whole radius.
+    rng = random.Random(13)
+
+    def wide(spread):
+        return RealBall(mpf(rng.randint(-2 ** 150, 2 ** 150))
+                        * mpf(2) ** (rng.randint(-spread, 0) - 150))
+
+    for _ in range(200):
+        n, spread = rng.randint(2, 4), rng.choice([8, 250])
+        rows = [(ComplexBall(RealBall(mpf(rng.choice([-1, 1])) * mpf(2) ** rng.randint(-20, 0))),)
+                + tuple(ComplexBall(wide(spread), wide(spread)) for _ in range(n - 1))
+                for _ in range(n)]
+        exact = [[(z.re.exact_fraction(), z.im.exact_fraction()) for z in row] for row in rows]
+        assert ball_contains(ball_det(tuple(rows)), gdet(exact))

@@ -5,7 +5,7 @@ import sys
 import pytest
 from mpmath import mp, mpf
 
-from motive_height.cli import main
+from motive_height.cli import build_parser, main
 from motive_height.documents import canonical_bytes, example_document
 
 
@@ -81,6 +81,30 @@ def test_window_override_flag(capsys, tmp_path):
     assert f_base[3] == f_wide[3]  # same height, report echoes the window
     code, out, err = run_cli(capsys, "height", path, "--window", "0,1")
     assert code == 1  # window does not contain the Hodge support
+
+
+def test_parser_built_once_and_calls_independent(capsys, tmp_path):
+    # one parser serves every call; a flag given to one call must not leak
+    # into the namespace or the output of the next
+    path = write_example(tmp_path, "elliptic:square")
+    assert build_parser() is build_parser()
+    text = run_cli(capsys, "height", path)
+    valid = run_cli(capsys, "validate", path)
+    rows = run_cli(capsys, "height", path, "--format", "rows")
+    assert run_cli(capsys, "validate", path) == valid
+    assert run_cli(capsys, "height", path) == text
+    assert text[0] == valid[0] == rows[0] == 0
+    assert text[1].startswith("id: ") and "valid" in valid[1]
+    assert rows[1].startswith("elliptic") and "\t" in rows[1]
+    # after those calls the shared parser still reads every argv exactly as
+    # a freshly built one does
+    for argv in (["height", path, "--format", "rows"], ["validate", path],
+                 ["--precision", "64", "height", path]):
+        assert vars(build_parser().parse_args(argv)) == \
+            vars(build_parser.__wrapped__().parse_args(argv))
+    first = build_parser().parse_args(["height", path, "--format", "rows"])
+    second = build_parser().parse_args(["validate", path])
+    assert first is not second and not hasattr(second, "format")
 
 
 def test_validate_semantic_failure_exit1(capsys, tmp_path):

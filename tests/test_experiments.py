@@ -246,6 +246,16 @@ def test_u_filtration_not_image_of_d_rejected():
         validate_spec(m, bad)
 
 
+def test_containment_on_empty_bases():
+    from motive_height.experiments import _contained_at_p, _coords_in
+
+    empty = QMatrix.zeros(2, 0)
+    assert _coords_in(empty, empty) == QMatrix.zeros(0, 0)
+    assert _contained_at_p(empty, empty, 5)
+    assert _contained_at_p(empty, QMatrix.zeros(2, 1), 5)
+    assert not _contained_at_p(empty, QMatrix.from_columns([(1, 0)], rows=2), 5)
+
+
 # ---------------------------------------------------------------------------
 # invariance experiment
 # ---------------------------------------------------------------------------

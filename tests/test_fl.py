@@ -402,13 +402,3 @@ def test_local_spec_override_validation():
         LocalLatticeSpec.from_map(2, (-1, 0), {-1: 1})  # v(a) must vanish
     with pytest.raises(ValueError):
         LocalLatticeSpec.from_map(2, (-1, 0), {4: 1})  # outside window
-
-
-def test_containment_on_empty_bases():
-    from motive_height.fl import _contained_at_p, _coords_in
-
-    empty = QMatrix.zeros(2, 0)
-    assert _coords_in(empty, empty) == QMatrix.zeros(0, 0)
-    assert _contained_at_p(empty, empty, 5)
-    assert _contained_at_p(empty, QMatrix.zeros(2, 1), 5)
-    assert not _contained_at_p(empty, QMatrix.from_columns([(1, 0)], rows=2), 5)

@@ -1,8 +1,11 @@
-"""Every name a library module imports is read somewhere in that module.
+"""Every name a library module imports is read somewhere in that module,
+and no library module reaches into another's private names.
 
-No linter ships with the project, so this AST scan stands in for one:
-``__init__.py`` (which re-exports) and ``from __future__`` imports are
-exempt.
+No linter ships with the project, so these AST scans stand in for one.  In
+the unused-import scan ``__init__.py`` (which re-exports) and
+``from __future__`` imports are exempt.  The private-name scan covers every
+module: an underscore-prefixed name imported from another library module,
+or read as an attribute of one, is a helper that belongs next to its caller.
 """
 
 import ast
@@ -12,6 +15,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "motive_height"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+PACKAGE = SRC.name
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,3 +43,49 @@ def test_scan_finds_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_imports(source: str) -> list[str]:
+    """Private names a module takes from other modules of the package."""
+    tree = ast.parse(source)
+    found, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == PACKAGE):
+            for alias in node.names:
+                if _is_private(alias.name):
+                    found.append(f"{alias.name} (line {node.lineno})")
+                elif node.module is None or node.module == PACKAGE:
+                    modules.add(alias.asname or alias.name)  # a sibling module
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == PACKAGE:
+                    modules.add(alias.asname or alias.name.split(".")[0])
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _is_private(node.attr):
+            base = node.value
+            while isinstance(base, ast.Attribute):
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in modules:
+                found.append(f"{node.attr} (line {node.lineno})")
+    return sorted(found)
+
+
+def test_scan_finds_private_import():
+    src = ("from .fl import _coords_in, local_valuations\n"
+           "from motive_height.balls import _fixed\n"
+           "from . import hodge as h\n"
+           "import motive_height.rational\n"
+           "from os import _exit\n"
+           "h._exactly_singular(motive_height.rational._bareiss, h.__name__)\n")
+    assert private_imports(src) == ["_bareiss (line 6)", "_coords_in (line 1)",
+                                    "_exactly_singular (line 6)", "_fixed (line 2)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_imports(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []

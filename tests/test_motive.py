@@ -1,10 +1,12 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
 
 from motive_height.balls import ComplexBall, RealBall, working_precision
+from motive_height.documents import example_document, parse_motive
 from motive_height.fl import FilPhiModule, LocalLatticeSpec, WindowTooWide
 from motive_height.lines import Lattice
 from motive_height.motive import (
@@ -25,6 +27,7 @@ from motive_height.motive import (
 )
 from motive_height.rational import QMatrix
 from conftest import adapted_block_lower, random_motive
+from gaussian_oracle import gdet
 
 
 def close(ball: RealBall, value, tol="1e-28"):
@@ -355,3 +358,55 @@ def test_precision_monotone_height():
     with working_precision(160):
         hi = height(tate_motive(1)).h
     assert hi.rad < lo.rad
+
+
+def test_more_precision_never_widens_a_height():
+    # README: increasing --precision never increases a reported radius
+    rng = random.Random(99)
+    shapes = [(-1, {-1: g, 0: g}) for g in (1, 2, 3)] + \
+        [(2, {0: 1, 1: n - 2, 2: 1}) for n in (4, 5, 6)] + \
+        [(w, {r: 1 for r in range(w + 1)}) for w in (2, 3, 4)]
+    motives = [parse_motive(example_document(name)) for name in
+               ("trivial", "tate:1", "tate:-1", "tate:2", "elliptic:square")]
+    motives += [random_motive(rng, weight, dims) for weight, dims in shapes]
+    for m in motives:
+        radii = []
+        for bits in (64, 96, 128, 192, 256, 512):
+            with working_precision(bits):
+                radii.append(height(m).h.rad)
+        assert all(hi <= lo for lo, hi in zip(radii, radii[1:])), (m.label, radii)
+
+
+def _exact_log_reference_metric(weight, levels, columns):
+    """a log|det P| + 1/2 sum_{a<r<b} log|D_r| in exact Gaussian rationals,
+    with one logarithm per determinant at 320 bits."""
+    n = len(levels)
+    conj = [[(re, -im) for re, im in c] for c in columns]
+
+    def log_abs(cols):
+        re, im = gdet([[c[i] for c in cols] for i in range(n)])
+        norm = re * re + im * im
+        return mp.log(mpf(norm.numerator) / norm.denominator) / 2
+
+    a, b = min(levels), max(levels) + 1
+    with mp.workprec(320):
+        total = a * log_abs(columns)
+        for r in range(a + 1, b):
+            total += log_abs([c for c, l in zip(columns, levels) if l >= r]
+                             + [c for c, l in zip(conj, levels) if l >= weight + 1 - r]) / 2
+        return total
+
+
+def test_rank22_k3_type_height_is_fast_and_contains_the_exact_value():
+    dims = {0: 1, 1: 20, 2: 1}
+    m = random_motive(random.Random(22), 2, dims, label="k3:22")
+    start = time.perf_counter()
+    with working_precision(128):
+        h = height(m).h
+    elapsed = time.perf_counter() - start
+    columns = [[m.period[i][j].exact_value()[0] for i in range(22)] for j in range(22)]
+    truth = -_exact_log_reference_metric(2, m.type.levels(), columns)
+    with mp.workprec(320):
+        assert abs(h.mid - truth) <= h.rad
+    assert h.rad < mpf(2) ** -120
+    assert elapsed < 1.0, elapsed
