@@ -20,11 +20,9 @@ from .lines import (
     Lattice,
     MetrizedLine,
     MissingMetric,
-    NotSublattice,
     ValuationMap,
     intersect_adelic,
     line_tensor,
-    quotient_lattice_valuation,
 )
 from .hodge import (
     HodgeStructure,

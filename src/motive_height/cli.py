@@ -10,7 +10,9 @@
 
 Global flags: --precision <bits> (default 128), --digits <display digits>.
 Exit codes: 0 success, 1 validation or experiment failure, 2 precision
-exhaustion, 3 malformed input.
+exhaustion, 3 malformed input.  ``batch`` prints every good row, reports
+each bad document on stderr as ``<path>: <message>`` and exits with the
+highest code seen.
 """
 
 from __future__ import annotations
@@ -47,6 +49,22 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_PRECISION = 2
 EXIT_MALFORMED = 3
+
+# what each failure prints and exits with; the exit codes rank the failures
+_FAILURES = (
+    (DocumentError, "malformed input", EXIT_MALFORMED),
+    (PrecisionExhausted, "precision exhausted", EXIT_PRECISION),
+    (InvalidMotive, "invalid", EXIT_INVALID),
+    (IncompatibleSpec, "invalid", EXIT_INVALID),
+    (StrongDivisibilityLost, "invalid", EXIT_INVALID),
+    (WindowMismatch, "invalid", EXIT_INVALID),
+)
+_FAILURE_TYPES = tuple(t for t, _, _ in _FAILURES)
+
+
+def _failure(exc: Exception) -> tuple[int, str]:
+    return next((code, f"{prefix}: {exc}") for t, prefix, code in _FAILURES
+                if isinstance(exc, t))
 
 
 def _ball_str(b: RealBall, digits: int) -> str:
@@ -174,12 +192,17 @@ def _batch_paths(items) -> list[str]:
     return paths
 
 
-def _batch_worker(payload) -> str:
+def _batch_worker(payload) -> tuple[int, str]:
+    """(EXIT_OK, row) for a good document, else (exit code, message): a bad
+    document fails alone."""
     path, bits, window = payload
-    with working_precision(bits):
-        m = _load_motive(path)
-        rep = height(m, window=window)
-        return _row(m, rep)
+    try:
+        with working_precision(bits):
+            m = _load_motive(path)
+            return EXIT_OK, _row(m, height(m, window=window))
+    except _FAILURE_TYPES as exc:
+        code, message = _failure(exc)
+        return code, f"{path}: {message}"
 
 
 def cmd_batch(args) -> int:
@@ -188,14 +211,14 @@ def cmd_batch(args) -> int:
     payloads = [(path, args.precision, window) for path in paths]
     if args.jobs > 1 and len(paths) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_batch_worker, payloads))
+            results = list(pool.map(_batch_worker, payloads))
     else:
-        rows = [_batch_worker(p) for p in payloads]
+        results = [_batch_worker(p) for p in payloads]
     if args.format == "text":
         print(ABC_HEADER)
-    for row in rows:
-        print(row)
-    return EXIT_OK
+    for code, text in results:
+        print(text, file=sys.stderr if code else sys.stdout)
+    return max((code for code, _ in results), default=EXIT_OK)
 
 
 def cmd_example(args) -> int:
@@ -260,16 +283,10 @@ def main(argv=None) -> int:
     try:
         with working_precision(args.precision):
             return args.func(args)
-    except DocumentError as exc:
-        print(f"malformed input: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
-    except PrecisionExhausted as exc:
-        print(f"precision exhausted: {exc}", file=sys.stderr)
-        return EXIT_PRECISION
-    except (InvalidMotive, IncompatibleSpec, StrongDivisibilityLost,
-            WindowMismatch) as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    except _FAILURE_TYPES as exc:
+        code, message = _failure(exc)
+        print(message, file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -9,7 +9,8 @@ D ∩ span(D^i) at p.  D is kept in Hermite form, lower triangular, and every
 p-local index below is read off that one basis.
 
 The lattice identity D = sum_i p^{-i} phi D^i (strong divisibility) is
-checked, never assumed, by ``local_valuations``.  The local integral
+checked, never assumed, by ``local_valuations``: in D's Hermite basis it is
+a valuation test on the entries of phi and on det phi.  The local integral
 structure it induces on the determinant line of each quotient
 D_dR / D^r_dR is reported as a single p-adic valuation per r, measured
 against the reference basis of the quotient; the two cohomology-style
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .lines import Lattice, NotSublattice, quotient_lattice_valuation
+from .lines import Lattice
 from .rational import (
     QMatrix,
     integer_kernel,
@@ -50,7 +51,7 @@ class FilPhiModule:
     ``motive.validate`` reaches it through ``MotiveData.local_spec``.
     """
 
-    __slots__ = ("p", "n", "lattice", "phi", "window", "_fil")
+    __slots__ = ("p", "n", "lattice", "phi", "phi_det", "window", "_fil")
 
     def __init__(self, p: int, lattice: Lattice, phi: QMatrix,
                  filtration: Mapping[int, QMatrix], window: tuple[int, int]):
@@ -69,7 +70,8 @@ class FilPhiModule:
         self.window = (a, b)
         if phi.rows != self.n or phi.cols != self.n:
             raise ValueError("phi shape mismatch")
-        if phi.det() == 0:
+        self.phi_det = phi.det()
+        if self.phi_det == 0:
             raise ValueError("phi must be invertible")
         self._fil = {}
         for i, m in filtration.items():
@@ -158,26 +160,49 @@ def _all_p_integral(m: QMatrix, p: int) -> bool:
 # strong divisibility
 # ---------------------------------------------------------------------------
 
-@dataclass
 class StrongDivisibilityReport:
-    ok: bool
-    witness: Lattice  # the lattice sum_i p^{-i} phi D^i
+    """The verdict, and the lattice sum sum_i p^{-i} phi D^i as its witness.
+
+    The verdict does not need the sum, so a report made by
+    ``check_strong_divisibility`` builds it on first read of ``witness``.
+    """
+
+    __slots__ = ("ok", "_witness", "_module")
+
+    def __init__(self, ok: bool, witness: Lattice | None = None,
+                 module: FilPhiModule | None = None):
+        self.ok = ok
+        self._witness = witness
+        self._module = module
+
+    @property
+    def witness(self) -> Lattice:
+        if self._witness is None:
+            m = self._module
+            gens = QMatrix.zeros(m.n, 0)
+            for i in range(*m.window):
+                gens = gens.hstack((m.phi @ m.filtration_matrix(i))
+                                   .scale(Fraction(1, m.p) ** i))
+            self._witness = Lattice(gens)
+        return self._witness
 
 
 def check_strong_divisibility(m: FilPhiModule) -> StrongDivisibilityReport:
-    """Decide whether sum_i p^{-i} phi D^i equals D after localization at p:
-    the sum must lie in D at p with index prime to p."""
-    a, b = m.window
-    p = m.p
-    gens = QMatrix.zeros(m.n, 0)
-    for i in range(a, b):
-        gens = gens.hstack((m.phi @ m.filtration_matrix(i)).scale(Fraction(1, p) ** i))
-    witness = Lattice(gens)
-    try:
-        ok = quotient_lattice_valuation(m.lattice, witness, p) == 0
-    except NotSublattice:
-        ok = False
-    return StrongDivisibilityReport(ok, witness)
+    """Decide whether sum_i p^{-i} phi D^i equals D after localization at p.
+
+    At p, D^i is spanned by the Hermite columns b_j of D with level l_j >= i,
+    so the sum is spanned by the p^{-l_j} phi b_j: in D's basis B, by the
+    columns of phi_D diag(p^{-l_j}) with phi_D = B^{-1} phi B.  The sum is D
+    iff that matrix lies in GL_n(Z_(p)): every nonzero entry of column j of
+    phi_D has valuation >= l_j, and v_p(det phi) = sum_j l_j.
+    """
+    p, levels = m.p, m.coordinate_levels()
+    basis = m.lattice.basis
+    ok = vp(m.phi_det, p) == sum(levels) and all(
+        x == 0 or vp(x, p) >= level
+        for row in basis.solve(m.phi @ basis).data
+        for x, level in zip(row, levels))
+    return StrongDivisibilityReport(ok, module=m)
 
 
 def tate_twist(m: FilPhiModule, r: int) -> FilPhiModule:

@@ -212,7 +212,7 @@ def random_fl_module(rng: random.Random, p: int, levels=None, twist_basis=True,
     if window is None:
         window = (min(levels), max(levels) + 1)
     a_win, b_win = window
-    assert a_win <= min(levels) and max(levels) < b_win
+    assert all(a_win <= l < b_win for l in levels)
     fil = {}
     for i in range(a_win + 1, b_win):
         cols = [b.column(j) for j in range(n) if levels[j] >= i]

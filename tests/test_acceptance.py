@@ -48,7 +48,7 @@ from faltings_oracle import (
     periods_agm,
     periods_quadrature,
 )
-from test_fl import oracle_strong_divisibility
+from fl_oracle import oracle_strong_divisibility
 
 
 def _line(num, name, ok, elapsed, budget, detail=""):

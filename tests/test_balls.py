@@ -350,3 +350,38 @@ def test_kernel_counts_every_dropped_bit_of_exact_data():
                 for _ in range(n)]
         exact = [[(z.re.exact_fraction(), z.im.exact_fraction()) for z in row] for row in rows]
         assert ball_contains(ball_det(tuple(rows)), gdet(exact))
+
+
+
+def _growth_matrix(n, d, s, v=1):
+    """Exact integers: 1 on the diagonal, -1 below it and 1 in the last
+    column, so exact factors of -1 double the last column row by row; then
+    pivot d at (n-2, n-2) over s below it, whose factor s/d drops bits, and
+    v in the corner."""
+    rows = [[Fraction(1 if j in (i, n - 1) else -1 if j < i else 0) for j in range(n)]
+            for i in range(n)]
+    rows[n - 2][n - 2], rows[n - 1][n - 2], rows[n - 1][n - 1] = d, s, v
+    return [[(Fraction(x), Fraction(0)) for x in row] for row in rows]
+
+
+def test_factor_rounding_is_counted_after_pivot_row_growth():
+    # the pivot row's last entry has grown to 2^(n-3) after scaling when the
+    # inexact factor s/d multiplies it, so the floor of the factor moves the
+    # update by up to 2^(n-3) ulps: only the factor's own rounding ulp,
+    # scaled by |b|, covers that
+    def balls(rows):
+        return tuple(tuple(ComplexBall.from_rationals(*x) for x in row) for row in rows)
+
+    with working_precision(64):
+        for n in range(3, 12):
+            ones = [[(Fraction(1), Fraction(0))] for _ in range(n)]
+            for d, s in ((3, -1), (3, 1), (5, -3), (3, -2), (7, -1)):
+                rows = _growth_matrix(n, d, s)
+                x = ball_lu_solve(balls(rows), balls(ones))
+                _, truth = gsolve(rows, ones)
+                assert all(ball_contains(x[i][0], truth[i][0]) for i in range(n))
+        # a nearly cancelled last pivot, so that the determinant's midpoint
+        # rounding cannot hide the moved update
+        for n, d, s, v in ((8, 7, 6, -8), (10, 3, 2, -84), (10, 7, 6, -36), (10, 11, 10, -22)):
+            rows = _growth_matrix(n, d, s, v)
+            assert ball_contains(ball_det(balls(rows)), gdet(rows))

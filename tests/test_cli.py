@@ -231,6 +231,36 @@ def test_batch_directory_input(capsys, tmp_path):
     assert lines[0].startswith("tate:0\t")
 
 
+def test_batch_reports_bad_documents_and_prints_every_good_row(capsys, tmp_path):
+    # rows go to stdout in path order, each failure to stderr as
+    # "<path>: <message>", and the exit code is the worst one seen
+    write_example(tmp_path, "tate:1", "a.json")
+    (tmp_path / "b.json").write_text('{"format_version": 1}')
+    write_example(tmp_path, "elliptic:square", "c.json")
+    fuzzy = example_document("tate:0")  # weight 0, rank 1, FL at p = 2
+    fuzzy["period"] = [[{"re": "0.001", "im": "0", "digits": 1}]]
+    (tmp_path / "d.json").write_bytes(canonical_bytes(fuzzy))
+    not_sd = example_document("tate:1")
+    not_sd["local"][0]["fl"]["phi"] = [["1"]]
+    (tmp_path / "e.json").write_bytes(canonical_bytes(not_sd))
+    runs = [run_cli(capsys, "batch", str(tmp_path), "--format", "rows", "--jobs", jobs)
+            for jobs in ("1", "2")]
+    assert runs[0] == runs[1]
+    code, out, err = runs[0]
+    assert code == 3
+    assert [row.split("\t")[0] for row in out.splitlines()] == ["tate:1", "elliptic:square"]
+    assert err.splitlines() == [
+        f"{tmp_path / 'b.json'}: malformed input: unsupported format_version 1",
+        f"{tmp_path / 'd.json'}: precision exhausted: D_0 = det[F^0 | conj F^1] "
+        "cannot be certified nonzero at 128 bits",
+        f"{tmp_path / 'e.json'}: invalid: local datum at p=2: strong divisibility "
+        "fails (lattice sum has basis ((Fraction(2, 1),),))"]
+    (tmp_path / "b.json").unlink()
+    assert run_cli(capsys, "batch", str(tmp_path), "--format", "rows")[0] == 2
+    (tmp_path / "d.json").unlink()
+    assert run_cli(capsys, "batch", str(tmp_path), "--format", "rows")[0] == 1
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "motive_height.cli", "example", "trivial"],

@@ -1,3 +1,4 @@
+import random
 import re
 from fractions import Fraction
 
@@ -15,9 +16,14 @@ from motive_height.fl import (
     standard_module,
     tate_twist,
 )
-from motive_height.lines import Lattice, NotSublattice
+from motive_height.lines import Lattice
 from motive_height.rational import QMatrix, hnf_rational, vp
 from conftest import random_fl_module
+from fl_oracle import (
+    hermite_route_strong_divisibility,
+    oracle_strong_divisibility,
+    p_integral_rank_mod_p,
+)
 
 
 def qp1_module(p=5) -> FilPhiModule:
@@ -28,48 +34,6 @@ def qp1_module(p=5) -> FilPhiModule:
 
 def trivial_module(p=5) -> FilPhiModule:
     return FilPhiModule(p, Lattice.standard(1), QMatrix.identity(1), {}, (0, 1))
-
-
-# ---------------------------------------------------------------------------
-# the mod-p rank oracle: span_{Z_p}(columns) = Z_p^n iff the D-coordinates
-# are p-integral and have full rank modulo p (Nakayama).  Independent of the
-# Hermite-form route used by the package.
-# ---------------------------------------------------------------------------
-
-def p_integral_rank_mod_p(coords: QMatrix, p: int):
-    """Rank over F_p of a p-integral matrix, or None if it is not p-integral."""
-    if any(x.denominator % p == 0 for row in coords.data for x in row):
-        return None
-    red = [[(x.numerator * pow(x.denominator, -1, p)) % p for x in row]
-           for row in coords.data]
-    rank = 0
-    rows, cols = len(red), coords.cols
-    for c in range(cols):
-        piv = next((r for r in range(rank, rows) if red[r][c] % p), None)
-        if piv is None:
-            continue
-        red[rank], red[piv] = red[piv], red[rank]
-        inv = pow(red[rank][c], -1, p)
-        red[rank] = [v * inv % p for v in red[rank]]
-        for r in range(rows):
-            if r != rank and red[r][c]:
-                f = red[r][c]
-                red[r] = [(v - f * w) % p for v, w in zip(red[r], red[rank])]
-        rank += 1
-    return rank
-
-
-def oracle_strong_divisibility(m: FilPhiModule) -> bool:
-    p = m.p
-    a, b = m.window
-    gen_cols = []
-    for i in range(a, b):
-        fil = m.filtration_matrix(i)
-        if fil.cols:
-            scaled = (m.phi @ fil).scale(Fraction(1, p) ** i)
-            gen_cols.extend(scaled.columns())
-    coords = m.lattice.basis.solve(QMatrix.from_columns(gen_cols, rows=m.n))
-    return p_integral_rank_mod_p(coords, p) == m.n
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +55,80 @@ def test_strong_divisibility_fails_shifted_window():
     rep = check_strong_divisibility(m)
     assert not rep.ok
     assert rep.witness == Lattice(QMatrix([[Fraction(1, 5)]]))
+
+
+def test_strong_divisibility_failure_text_is_the_lattice_sum():
+    m = FilPhiModule(5, Lattice.standard(1), QMatrix.identity(1), {}, (1, 2))
+    with pytest.raises(ValueError) as info:
+        local_valuations(m)
+    assert str(info.value) == ("strong divisibility fails "
+                               "(lattice sum has basis ((Fraction(1, 5),),))")
+
+
+def test_strong_divisibility_builds_no_hermite_form_and_no_det(monkeypatch, rng):
+    # the verdict reads phi in D's Hermite basis and the det phi kept by the
+    # module; only reading the witness builds the lattice sum
+    from motive_height import lines
+    modules = [random_fl_module(rng, 5) for _ in range(10)]
+    calls = []
+    hnf = lines.hnf_rational
+    monkeypatch.setattr(lines, "hnf_rational",
+                        lambda m: calls.append("hnf") or hnf(m))
+    det = QMatrix.det
+    monkeypatch.setattr(QMatrix, "det", lambda m: calls.append("det") or det(m))
+    reports = [check_strong_divisibility(m) for m in modules]
+    assert all(rep.ok for rep in reports) and calls == []
+    reports[0].witness
+    assert calls == ["hnf"]
+
+
+def random_sd_candidate(rng) -> FilPhiModule | None:
+    """A module for strong divisibility to judge: a strongly divisible one
+    (identity or random adapted Hermite basis, window length 1-3, rank 0-4),
+    then phi perturbed with denominators p or p^2 (in reference or in D
+    coordinates) or scaled by p^{+-1}, and D rescaled by a p-power or a
+    p-unit.  None when the perturbed phi is singular."""
+    p = rng.choice([3, 5, 7])
+    n = rng.choice([0, 1, 2, 2, 3, 3, 3, 4])
+    width = rng.randint(1, min(3, p - 1))
+    lo = rng.randint(-2, 1)
+    levels = sorted(rng.randint(lo, lo + width - 1) for _ in range(n))
+    good = random_fl_module(rng, p, levels=levels, twist_basis=rng.random() < 0.7,
+                            window=(lo, lo + width))
+    basis, phi = good.lattice.basis, good.phi
+    kind = rng.choice(["keep", "reference", "hermite", "shift"])
+    if kind in ("reference", "hermite"):
+        r = QMatrix([[rng.randint(-3, 3) if rng.random() < 0.3 else 0
+                      for _ in range(n)] for _ in range(n)])
+        if kind == "hermite":
+            r = basis @ r @ basis.inverse()
+        phi = phi + r.scale(Fraction(p) ** rng.choice([-2, -1, 0, 1, 2]))
+    elif kind == "shift":
+        phi = phi.scale(Fraction(p) ** rng.choice([-1, 1]))
+    c = rng.choice([1, 1, p, Fraction(1, p), p * p, 2, Fraction(11, 13), Fraction(3 * p, 2)])
+    fil = {i: good.filtration_matrix(i).scale(c) for i in range(lo + 1, lo + width)}
+    if n and phi.det() == 0:
+        return None
+    return FilPhiModule(p, Lattice(basis.scale(c)), phi, fil, good.window)
+
+
+def test_strong_divisibility_matches_both_oracles_on_3000_modules():
+    rng = random.Random(20261020)
+    verdicts, rank0, length1 = [], 0, 0
+    while len(verdicts) < 3000:
+        m = random_sd_candidate(rng)
+        if m is None:
+            continue
+        rep = check_strong_divisibility(m)
+        want, witness = hermite_route_strong_divisibility(m)
+        assert rep.ok == want == oracle_strong_divisibility(m)
+        if len(verdicts) % 10 == 0:
+            assert rep.witness == witness
+        verdicts.append(rep.ok)
+        rank0 += m.n == 0
+        length1 += m.window[1] - m.window[0] == 1
+    assert verdicts.count(True) >= 1000 and verdicts.count(False) >= 1000
+    assert rank0 >= 100 and length1 >= 500
 
 
 def test_window_too_wide():
