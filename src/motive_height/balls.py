@@ -23,11 +23,12 @@ internally.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
-from typing import Iterable, Union
+from math import isqrt, lcm
+from typing import Iterable
 
-from mpmath import mp, mpf, isfinite
-from mpmath.libmp import from_man_exp, mpf_abs, mpf_neg, round_up
+from mpmath import mp, mpf, isfinite, nstr
+from mpmath.libmp import (from_int, from_man_exp, mpf_abs, mpf_div, mpf_neg,
+                          round_nearest, round_up)
 
 _DEFAULT_BITS = 128
 _GUARD_BITS = 30
@@ -81,7 +82,16 @@ def _representable(x) -> bool:
     return x.bc <= mp.prec
 
 
-Number = Union[int, Fraction, "RealBall"]
+def _power(x, n: int, cls):
+    """x ** n for an integer n, by repeated products."""
+    if not isinstance(n, int):
+        raise TypeError("only integer exponents are supported")
+    if n <= 0:
+        return cls.one() if n == 0 else cls.one() / x ** (-n)
+    result = x
+    for _ in range(n - 1):
+        result = result * x
+    return result
 
 
 def _coerce(x) -> "RealBall":
@@ -181,12 +191,6 @@ class RealBall:
     def contains_zero(self) -> bool:
         return abs(self.mid) <= self.rad
 
-    def definitely_positive(self) -> bool:
-        return self.lower > 0
-
-    def contains(self, other: "RealBall") -> bool:
-        return self.lower <= other.lower and other.upper <= self.upper
-
     def overlaps(self, other: "RealBall") -> bool:
         return abs(self.mid - other.mid) <= self.rad + other.rad
 
@@ -248,16 +252,7 @@ class RealBall:
         return RealBall(mp.make_mpf(mpf_abs(self.mid._mpf_)), self.rad)
 
     def __pow__(self, n: int):
-        if not isinstance(n, int):
-            raise TypeError("only integer exponents are supported")
-        if n == 0:
-            return RealBall.one()
-        if n < 0:
-            return RealBall.one() / self ** (-n)
-        result = self
-        for _ in range(n - 1):
-            result = result * self
-        return result
+        return _power(self, n, RealBall)
 
     def sqrt(self) -> "RealBall":
         lo, hi = self.lower, self.upper
@@ -294,14 +289,9 @@ class RealBall:
         return f"RealBall({self.mid!r}, {self.rad!r})"
 
     def __str__(self):
-        return format_ball(self)
-
-
-def format_ball(b: RealBall, digits: int = 30) -> str:
-    from mpmath import nstr
-    if b.rad == 0:
-        return f"{nstr(b.mid, digits)} (exact)"
-    return f"{nstr(b.mid, digits)} ± {nstr(b.rad, 3)}"
+        if self.rad == 0:
+            return f"{nstr(self.mid, 30)} (exact)"
+        return f"{nstr(self.mid, 30)} ± {nstr(self.rad, 3)}"
 
 
 class ComplexBall:
@@ -359,10 +349,6 @@ class ComplexBall:
     def contains_zero(self) -> bool:
         return self.re.contains_zero() and self.im.contains_zero()
 
-    def mid_complex(self):
-        from mpmath import mpc
-        return mpc(self.re.mid, self.im.mid)
-
     def exact_value(self) -> dict[int, tuple[Fraction, Fraction]] | None:
         """The value as a map k -> (re, im) of Fractions, meaning
         sum_k (re + i im) (2 pi i)^k, when it is known exactly, else None."""
@@ -408,16 +394,7 @@ class ComplexBall:
         return _coerce_complex(other) / self
 
     def __pow__(self, n: int):
-        if not isinstance(n, int):
-            raise TypeError("only integer exponents are supported")
-        if n == 0:
-            return ComplexBall.one()
-        if n < 0:
-            return ComplexBall.one() / self ** (-n)
-        result = self
-        for _ in range(n - 1):
-            result = result * self
-        return result
+        return _power(self, n, ComplexBall)
 
     def conj(self) -> "ComplexBall":
         # conj((a + b i) (2 pi i)^k) = (-1)^k (a - b i) (2 pi i)^k
@@ -454,19 +431,57 @@ def ball_matrix(rows: Iterable[Iterable]) -> BallMatrix:
     return tuple(tuple(_coerce_complex(x) for x in row) for row in rows)
 
 
-def ball_mat_mul(a: BallMatrix, b: BallMatrix) -> BallMatrix:
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    assert all(len(r) == k for r in a)
+def rational_ball_mul(a, b) -> BallMatrix:
+    """a @ b for one factor of exact rationals (rows of ints or Fractions,
+    such as ``QMatrix.data``) and one ball matrix, in either order.
+
+    Each output part is (sum_t n_t x_t) / d, with d the common denominator
+    of the rational row or column and n_t = d q_t: the midpoints are summed
+    exactly as one integer and rounded once, and the radius is rounded up.
+    Exact data stay exact when the result fits the working precision.  The
+    result carries no ``ComplexBall.exact``.
+    """
+    # the rational factor holds the non-ball entries (with none on either
+    # side, both readings give the same empty product)
+    if any(isinstance(x, ComplexBall) for row in a for x in row) or \
+            any(not isinstance(x, ComplexBall) for row in b for x in row):
+        out = _rational_times_balls(tuple(zip(*b)), tuple(zip(*a)))  # (Q^T B^T)^T
+        return tuple(zip(*out)) if out else ((),) * len(a)
+    return _rational_times_balls(a, b)
+
+
+def _rational_times_balls(q, b) -> BallMatrix:
+    # each column of b as (m, e) with x_t = m_t 2^e exactly, for x its real
+    # midpoints, real radii, imaginary midpoints and imaginary radii
+    cols = []
+    for col in zip(*b):
+        cols.append([])
+        for raw in zip(*((z.re.mid._mpf_, z.re.rad._mpf_, z.im.mid._mpf_, z.im.rad._mpf_)
+                         for z in col)):
+            e = min((exp for _, man, exp, _ in raw if man), default=0)
+            cols[-1].append(([(-man if sign else man) << (exp - e) if man else 0
+                              for sign, man, exp, _ in raw], e))
     out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = ComplexBall.zero()
-            for t in range(k):
-                acc = acc + a[i][t] * b[t][j]
-            row.append(acc)
-        out.append(tuple(row))
+    for row in q:
+        d = lcm(*(x.denominator for x in row))
+        terms = [(t, x.numerator * (d // x.denominator)) for t, x in enumerate(row) if x]
+        out.append(tuple(ComplexBall(*(_dot(d, terms, *mids, *rads)
+                                       for mids, rads in (col[:2], col[2:])))
+                         for col in cols))
     return tuple(out)
+
+
+def _dot(d: int, terms: list, mids: list, e: int, rads: list, er: int) -> RealBall:
+    """sum_t n_t x_t / d over (t, n_t) in terms, for x_t = mids[t] 2^e with
+    radius rads[t] 2^er."""
+    s = sum(n * mids[t] for t, n in terms)
+    sign, man, exp, _ = mid = mpf_div(from_man_exp(s, e), from_int(d), mp.prec, round_nearest)
+    # the radius plus the rounding move |s 2^e - d mid|, exactly, in units 2^c
+    c = min(e, er, exp)
+    rad = (sum(abs(n) * rads[t] for t, n in terms) << (er - c)) + abs(
+        (s << (e - c)) - d * ((-man if sign else man) << (exp - c)))
+    rad = mpf_div(from_man_exp(rad, c), from_int(d), mp.prec, round_up)
+    return RealBall(mp.make_mpf(mid), mp.make_mpf(rad))
 
 
 _FIX_GUARD = 8  # bits of the fixed point beyond mp.prec

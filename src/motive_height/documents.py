@@ -182,8 +182,6 @@ def _parse_fl(spec, p: int, mtype: MotiveType, where: str) -> FilPhiModule:
         raise DocumentError(f"{where}: missing field {exc}")
     try:
         return FilPhiModule(p, Lattice(lattice), phi, fil, (a, b))
-    except DocumentError:
-        raise
     except ValueError as exc:
         # shape was fine, the mathematics is not: a validation failure
         raise InvalidMotive([f"{where}: {exc}"])

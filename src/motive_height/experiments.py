@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .balls import RealBall, ball_mat_mul, ball_matrix
+from .balls import RealBall, rational_ball_mul
 from .fl import FilPhiModule
 from .lines import Lattice
 from .motive import HeightReport, MotiveData, MotiveType, height, validate
@@ -209,8 +209,7 @@ def validate_spec(m: MotiveData, spec: QuotientSpec) -> None:
     # ker(q_betti) both have rank n - k and det P != 0 (validate), so they
     # agree iff Z = q_betti P K_d vanishes
     k_d = fl.lattice.basis @ integer_kernel(spec.q_dr)      # dR coordinates
-    z = ball_mat_mul(ball_matrix(spec.q_betti.data),
-                     ball_mat_mul(m.period, ball_matrix(k_d.data)))
+    z = rational_ball_mul(spec.q_betti.data, rational_ball_mul(m.period, k_d.data))
     if not all(x.contains_zero() for row in z for x in row):
         raise IncompatibleSpec(
             "Betti and de Rham kernels disagree through the period matrix")
@@ -277,7 +276,7 @@ def sublattice_motive(m: MotiveData, spec: QuotientSpec,
         raise StrongDivisibilityLost(f"kernel module is malformed: {exc}")
 
     kb_inv = kernel_mod(spec.q_betti, q).inverse()
-    period = ball_mat_mul(ball_matrix(kb_inv.data), m.period)
+    period = rational_ball_mul(kb_inv.data, m.period)
     local = dict(m.local)
     local[p] = new_fl
     sub = MotiveData(m.type, period, local, m.bad_primes,

@@ -292,9 +292,6 @@ class LocalLatticeSpec:
         r = min(max(r, a), b)  # stabilized outside the window
         return dict(self.v)[r]
 
-    def is_trivial(self) -> bool:
-        return all(e == 0 for _, e in self.v)
-
 
 def local_valuations(m: FilPhiModule) -> LocalLatticeSpec:
     """Valuations v(r) = v_p[D / D^r : reference quotient lattice].

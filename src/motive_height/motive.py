@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .balls import ComplexBall, RealBall, ball_mat_mul, ball_matrix
+from .balls import ComplexBall, RealBall, ball_matrix, rational_ball_mul
 from . import fl as fl_mod
 from .fl import FilPhiModule, LocalLatticeSpec, standard_module
 from .hodge import HodgeStructure, line_metric, purity_check
@@ -158,7 +158,6 @@ class MotiveData:
 class ValidationReport:
     ok: bool
     issues: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
 
 
 def validate(m: MotiveData) -> ValidationReport:
@@ -166,12 +165,11 @@ def validate(m: MotiveData) -> ValidationReport:
     if "validation" in m._cache:
         return m._cache["validation"]
     issues: list[str] = []
-    warnings: list[str] = []
     n = m.rank
     a, b = m.window
     if len(m.period) != n or any(len(row) != n for row in m.period):
         issues.append(f"period matrix must be {n}x{n}")
-        report = ValidationReport(False, issues, warnings)
+        report = ValidationReport(False, issues)
         m._cache["validation"] = report
         return report
 
@@ -220,7 +218,7 @@ def validate(m: MotiveData) -> ValidationReport:
                 f"bad prime {p} carries no explicit valuation override; "
                 f"integral structures at bad primes are never inferred")
 
-    report = ValidationReport(not issues, issues, warnings)
+    report = ValidationReport(not issues, issues)
     m._cache["validation"] = report
     return report
 
@@ -400,7 +398,7 @@ def rebase_reference(m: MotiveData, r_mat: QMatrix) -> MotiveData:
             local[p] = LocalLatticeSpec.from_map(
                 p, (a, b),
                 {r: spec.value(r) - vp(quot_det[r], p) for r in range(a, b + 1)})
-    period = ball_mat_mul(m.period, ball_matrix(r_mat.data))
+    period = rational_ball_mul(m.period, r_mat.data)
     return MotiveData(m.type, period, local, m.bad_primes,
                       label=f"{m.label}~rebased")
 

@@ -40,13 +40,14 @@ class QMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "QMatrix":
-        return cls([[0] * cols for _ in range(rows)]) if rows else cls._empty(rows, cols)
+        return cls([[0] * cols for _ in range(rows)]) if rows else cls._make((), cols)
 
     @classmethod
-    def _empty(cls, rows: int, cols: int) -> "QMatrix":
+    def _make(cls, data: tuple, cols: int) -> "QMatrix":
+        """The matrix of rows of Fractions ``data``, unchecked; ``cols``
+        keeps the shape of rows of length 0."""
         m = cls.__new__(cls)
-        m.data = tuple(() for _ in range(rows))
-        m.rows, m.cols = rows, cols
+        m.data, m.rows, m.cols = data, len(data), cols
         return m
 
     @classmethod
@@ -56,7 +57,7 @@ class QMatrix:
         if n is None:
             raise ValueError("need explicit row count for an empty column list")
         if n == 0 or not columns:
-            return cls._empty(n, len(columns))
+            return cls._make(((),) * n, len(columns))
         return cls([[c[i] for c in columns] for i in range(n)])
 
     def __getitem__(self, ij):
@@ -89,31 +90,28 @@ class QMatrix:
 
     def scale(self, c) -> "QMatrix":
         c = _frac(c)
-        if not self.rows:
-            return self
-        return QMatrix([[x * c for x in row] for row in self.data])
+        return QMatrix._make(tuple(tuple(x * c for x in row) for row in self.data), self.cols)
 
     def __add__(self, other):
         assert (self.rows, self.cols) == (other.rows, other.cols)
-        if not self.rows:
-            return self
-        return QMatrix([[a + b for a, b in zip(ra, rb)]
-                        for ra, rb in zip(self.data, other.data)])
+        return QMatrix._make(tuple(tuple(a + b for a, b in zip(ra, rb))
+                                   for ra, rb in zip(self.data, other.data)), self.cols)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         assert self.cols == other.rows, "shape mismatch"
-        if other.cols == 0:
-            return QMatrix._empty(self.rows, 0)
-        cols = [self.apply(other.column(j)) for j in range(other.cols)]
-        return QMatrix.from_columns(cols, rows=self.rows)
-
-    def apply(self, v: Sequence) -> tuple:
-        v = [_frac(x) for x in v]
-        assert len(v) == self.cols
-        return tuple(sum(row[j] * v[j] for j in range(self.cols)) for row in self.data)
+        zero, out = Fraction(0), []
+        for row in self.data:
+            acc = [zero] * other.cols
+            for x, other_row in zip(row, other.data):
+                if x:
+                    for j, y in enumerate(other_row):
+                        if y:
+                            acc[j] += x * y
+            out.append(tuple(acc))
+        return QMatrix._make(tuple(out), other.cols)
 
     def is_integer(self) -> bool:
         return all(x.denominator == 1 for row in self.data for x in row)
@@ -125,11 +123,6 @@ class QMatrix:
             for x in row:
                 d = lcm(d, x.denominator)
         return d
-
-    def to_int_rows(self) -> list[list[int]]:
-        if not self.is_integer():
-            raise ValueError("matrix has non-integer entries")
-        return [[int(x) for x in row] for row in self.data]
 
     # ---- elimination-based operations ----
 
@@ -179,7 +172,7 @@ class QMatrix:
                 if i != k and aug[i][k]:
                     f = aug[i][k]
                     aug[i] = [a - f * b for a, b in zip(aug[i], aug[k])]
-        return QMatrix([row[n:] for row in aug]) if n and m else QMatrix._empty(n, m)
+        return QMatrix._make(tuple(tuple(row[n:]) for row in aug), m)
 
 
 def _row_echelon(work: list[list[Fraction]]):

@@ -10,8 +10,8 @@ from motive_height.balls import (
     PrecisionExhausted,
     RealBall,
     ball_det,
-    ball_mat_mul,
     ball_matrix,
+    rational_ball_mul,
 )
 from motive_height.hodge import HodgeStructure
 from motive_height.rational import QMatrix
@@ -141,13 +141,13 @@ def random_adapted_rebase(rng: random.Random, h: HodgeStructure):
     levels = h.levels
 
     def entry():
-        return ComplexBall.from_rationals(
-            Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
-            Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        return (Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
 
+    zero = (Fraction(0), Fraction(0))
     while True:
-        r_mat = [[entry() if li >= lj else ComplexBall.zero() for lj in levels]
-                 for li in levels]
+        r_q = [[entry() if li >= lj else zero for lj in levels] for li in levels]
+        r_mat = [[ComplexBall.from_rationals(*x) for x in row] for row in r_q]
         factor = RealBall.one()
         try:
             for r in sorted(set(levels)):
@@ -156,7 +156,12 @@ def random_adapted_rebase(rng: random.Random, h: HodgeStructure):
                 factor = factor * d.abs_ball() ** r
         except PrecisionExhausted:
             continue
-        rebased = HodgeStructure(h.weight, levels, ball_mat_mul(h.basis, ball_matrix(r_mat)))
+        # P (R_re + i R_im) = P R_re + i (P R_im)
+        pr, pi = (rational_ball_mul(h.basis, [[x[part] for x in row] for row in r_q])
+                  for part in (0, 1))
+        basis = tuple(tuple(ComplexBall(u.re - v.im, u.im + v.re) for u, v in zip(*rows))
+                      for rows in zip(pr, pi))
+        rebased = HodgeStructure(h.weight, levels, basis)
         return rebased, factor
 
 

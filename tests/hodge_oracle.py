@@ -22,7 +22,7 @@ Only midpoints are used, at ORACLE_BITS with the threshold
 digits than the 128-bit balls they are compared with.
 """
 
-from mpmath import mp, mpf, matrix, svd
+from mpmath import mp, mpc, mpf, matrix, svd
 
 ORACLE_BITS = 400
 
@@ -62,8 +62,13 @@ def _intersect(u, w, n, tol):
     return _orthonormal(_columns(vectors, n), tol) if vectors else matrix(n, 0)
 
 
+def mid_complex(z):
+    """The midpoint of the ComplexBall z as an mpc."""
+    return mpc(z.re.mid, z.im.mid)
+
+
 def _midpoint_columns(h, keep):
-    return [[h.basis[i][j].mid_complex() for i in range(h.n)]
+    return [[mid_complex(h.basis[i][j]) for i in range(h.n)]
             for j, l in enumerate(h.levels) if keep(l)]
 
 

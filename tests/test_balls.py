@@ -12,7 +12,7 @@ from motive_height.balls import (
     ball_det,
     ball_lu_solve,
     ball_matrix,
-    ball_mat_mul,
+    rational_ball_mul,
     working_precision,
 )
 from motive_height.documents import canonical_bytes
@@ -22,6 +22,12 @@ from gaussian_oracle import ZERO, ball_contains, gdet, gsolve
 def ball_identity(n: int):
     return tuple(tuple(ComplexBall.one() if i == j else ComplexBall.zero()
                        for j in range(n)) for i in range(n))
+
+
+def ball_mat_mul(a, b):
+    """Ball x ball product by scalar ball arithmetic."""
+    return tuple(tuple(sum((x * y for x, y in zip(row, col)), ComplexBall.zero())
+                       for col in zip(*b)) for row in a)
 
 
 def contains_value(b: RealBall, x) -> bool:
@@ -385,3 +391,121 @@ def test_factor_rounding_is_counted_after_pivot_row_growth():
         for n, d, s, v in ((8, 7, 6, -8), (10, 3, 2, -84), (10, 7, 6, -36), (10, 11, 10, -22)):
             rows = _growth_matrix(n, d, s, v)
             assert ball_contains(ball_det(balls(rows)), gdet(rows))
+
+
+# ---------------------------------------------------------------------------
+# the product of an exact rational matrix and a ball matrix
+# ---------------------------------------------------------------------------
+
+def exact(x) -> Fraction:
+    return RealBall(x).exact_fraction()
+
+
+def fits(q: Fraction) -> bool:
+    """q is a binary fraction with at most mp.prec significant bits."""
+    n, d = q.numerator, q.denominator
+    return n == 0 or (d & (d - 1) == 0 and (n // (n & -n)).bit_length() <= mp.prec)
+
+
+def _random_part(rng) -> RealBall:
+    """A real ball with |midpoint| up to 2^80 and down to 2^-120: exact,
+    midpoint-dominated, centred at zero, or radius-dominated (|mid| < rad)."""
+    mid = mp.ldexp(rng.randint(-2 ** 40, 2 ** 40), rng.randint(-120, 40))
+    kind = rng.choice(["exact", "exact", "mid", "zero", "radius"])
+    if kind == "exact":
+        return RealBall(mid)
+    if kind == "zero":
+        return RealBall(0, mp.ldexp(rng.randint(1, 2 ** 20), rng.randint(-100, 60)))
+    shift = rng.randint(10, 100) if kind == "mid" else -rng.randint(1, 10)
+    return RealBall(mid, abs(mid) * mpf(2) ** -shift + mp.ldexp(1, -100))
+
+
+def _random_balls(rng, rows, cols):
+    return tuple(tuple(ComplexBall(_random_part(rng), _random_part(rng))
+                       for _ in range(cols)) for _ in range(rows))
+
+
+def _random_rationals(rng, rows, cols):
+    return tuple(tuple(Fraction(rng.choice([0, rng.randint(-9, 9)]), rng.randint(1, 7))
+                       for _ in range(cols)) for _ in range(rows))
+
+
+def assert_encloses(out: RealBall, qs, xs):
+    """out holds sum_t q_t x_t for every x_t in the ball xs[t], is at most a
+    few ulp wider than that set, and is exact iff the exact sum fits."""
+    center = sum((q * exact(x.mid) for q, x in zip(qs, xs)), Fraction(0))
+    spread = sum((abs(q) * exact(x.rad) for q, x in zip(qs, xs)), Fraction(0))
+    rad = exact(out.rad)
+    assert abs(exact(out.mid) - center) + spread <= rad
+    assert rad <= spread + Fraction(4, 2 ** mp.prec) * (abs(center) + spread)
+    if spread == 0:
+        assert (rad == 0) == fits(center)
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+def test_rational_product_encloses_exact_sums_on_both_sides(bits):
+    rng = random.Random(bits)
+    with working_precision(bits):
+        for _ in range(100):
+            n, k, m = (rng.randint(1, 6) for _ in range(3))
+            q, b = _random_rationals(rng, n, k), _random_balls(rng, k, m)
+            out = rational_ball_mul(q, b)                       # Q B
+            for i, j in [(i, j) for i in range(n) for j in range(m)]:
+                col = [b[t][j] for t in range(k)]
+                assert_encloses(out[i][j].re, q[i], [z.re for z in col])
+                assert_encloses(out[i][j].im, q[i], [z.im for z in col])
+            qt, bt = tuple(zip(*q)), tuple(zip(*b))
+            out = rational_ball_mul(bt, qt)                     # B^T Q^T
+            for i, j in [(i, j) for i in range(m) for j in range(n)]:
+                assert_encloses(out[i][j].re, q[j], [z.re for z in bt[i]])
+                assert_encloses(out[i][j].im, q[j], [z.im for z in bt[i]])
+
+
+def test_rational_product_of_exact_data():
+    three = ComplexBall.from_rationals(3, -6)
+    # (1/3) 3 + (2/3) 3 and 3 (1/3) + 3 (2/3) are exact
+    for out in (rational_ball_mul([[Fraction(1, 3), Fraction(2, 3)]], [[three], [three]]),
+                rational_ball_mul([[three, three]], [[Fraction(1, 3)], [Fraction(2, 3)]])):
+        z = out[0][0]
+        assert (z.re.mid, z.im.mid, z.re.rad, z.im.rad) == (3, -6, 0, 0)
+        assert z.exact is None
+    # exact dyadic data whose sum fits keep radius 0; 1/3 does not fit
+    wide = ComplexBall(RealBall(mp.ldexp(3, 80)), RealBall(mp.ldexp(-5, -70)))
+    z = rational_ball_mul([[2, -1, 0]], [[wide], [wide], [ComplexBall.one()]])[0][0]
+    assert z.re.rad == z.im.rad == 0 and z.re.mid == mp.ldexp(3, 80)
+    # the sum is rounded to exactly mp.prec bits: 2^(prec-1) + 1 fits and
+    # 2 * 2^(prec-1) + 1 does not
+    top, one = ComplexBall(RealBall(mp.ldexp(1, mp.prec - 1))), ComplexBall.one()
+    z = rational_ball_mul([[1, 1], [2, 1]], [[top], [one]])
+    assert z[0][0].re.rad == 0 and z[1][0].re.rad > 0
+    z = rational_ball_mul([[Fraction(1, 3)]], [[ComplexBall.one()]])[0][0]
+    assert z.re.rad > 0 and z.im.is_exact()
+    assert abs(exact(z.re.mid) - Fraction(1, 3)) <= exact(z.re.rad)
+
+
+def test_rational_product_empty_shapes():
+    # rows of length 0 carry no column count, so n x 0 @ 0 x m is n x 0
+    b, q = _random_balls(random.Random(1), 2, 3), ((Fraction(1),) * 2,) * 4
+    assert rational_ball_mul((), b) == ()                       # 0x2 @ 2x3
+    assert rational_ball_mul(((),) * 3, ()) == ((),) * 3         # 3x0 @ 0xm
+    assert rational_ball_mul(q, ((),) * 2) == ((),) * 4          # 4x2 @ 2x0
+    assert rational_ball_mul((), q) == ()                       # 0x4 @ 4x2
+    assert rational_ball_mul(((),) * 2, ()) == ((),) * 2         # 2x0 @ 0xm
+    assert rational_ball_mul(tuple(zip(*b)), ((),) * 2) == ((),) * 3    # 3x2 @ 2x0
+
+
+def test_rational_product_builds_no_scalar_ball_operations(monkeypatch):
+    rng = random.Random(5)
+    q, b = _random_rationals(rng, 4, 5), _random_balls(rng, 5, 3)
+    calls = []
+    for cls in (RealBall, ComplexBall):
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+            def counted(self, other, _op=cls.__dict__[name], _name=name):
+                calls.append(_name)
+                return _op(self, other)
+            monkeypatch.setattr(cls, name, counted)
+    rational_ball_mul(q, b)
+    rational_ball_mul(tuple(zip(*b)), tuple(zip(*q)))
+    assert calls == []
+    RealBall.one() * RealBall.one()
+    assert calls == ["__mul__"]

@@ -98,9 +98,9 @@ def test_kernel_mod_membership(rng):
         q = rng.choice([3, 5, 9])
         k = kernel_mod(a, q)
         assert k.cols == cols
-        for j in range(k.cols):
-            image = a.apply(k.column(j))
-            assert all(x.denominator == 1 and x.numerator % q == 0 for x in image)
+        image = a @ k
+        assert all(x.denominator == 1 and x.numerator % q == 0
+                   for row in image.data for x in row)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from motive_height.hodge import (
     purity_check,
 )
 from conftest import random_adapted_rebase, random_pure_hodge
-from hodge_oracle import reference_metric, span_residual, svd_pieces
+from hodge_oracle import mid_complex, reference_metric, span_residual, svd_pieces
 
 
 def tpi(k=1, scale=1):
@@ -219,7 +219,7 @@ def test_metric_and_pieces_match_svd_oracle(rng):
         assert dec.dims() == {r: q.cols for r, q in oracle.items()} == dims
         for r, piece in dec.pieces.items():
             for col in piece.columns:
-                mids = [x.mid_complex() for x in col]
+                mids = [mid_complex(x) for x in col]
                 assert span_residual(oracle[r], mids) < mpf("1e-35")
                 conj = [z.conjugate() for z in mids]
                 assert span_residual(oracle[h.weight - r], conj) < mpf("1e-35")
@@ -251,7 +251,7 @@ def test_metric_direct_sum_multiplicative(rng):
 def test_metric_positive(rng):
     for _ in range(10):
         h, _ = random_pure_hodge(rng)
-        assert line_metric(h).definitely_positive()
+        assert line_metric(h).lower > 0
 
 
 def test_conjugation_involution(rng):

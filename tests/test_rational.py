@@ -23,7 +23,8 @@ from conftest import random_int_matrix, random_unimodular
 # ---------------------------------------------------------------------------
 
 def minor_gcd_divisors(m: QMatrix):
-    ints = m.to_int_rows()
+    assert m.is_integer()
+    ints = [[int(x) for x in row] for row in m.data]
     rows, cols = m.rows, m.cols
     k = min(rows, cols)
     gcds = [1]
@@ -117,8 +118,7 @@ def test_integer_kernel_saturated():
     m = QMatrix([[2, -1, 0]])
     k = integer_kernel(m)
     assert k.cols == 2
-    for j in range(k.cols):
-        assert m.apply(k.column(j)) == (0,)
+    assert (m @ k).data == ((0, 0),)
     # (1, 2, 0) must be in the kernel lattice: saturation
     sol = QMatrix.from_columns([k.column(0), k.column(1)], rows=3)
     # solve sol @ x = (1,2,0) over Q, check integrality
@@ -158,6 +158,28 @@ def test_empty_shapes_survive_transpose_and_products():
     assert (rhs.rows, rhs.cols) == (0, 1)
     sol = gram.solve(rhs)
     assert (sol.rows, sol.cols) == (0, 1)
+
+
+def test_product_matches_row_by_column_sums(rng):
+    def matrix(rows, r, c):
+        return QMatrix(rows) if r and c else QMatrix.zeros(r, c)
+
+    for _ in range(200):
+        n, k, m = (rng.randint(0, 5) for _ in range(3))
+        a, b = ([[Fraction(rng.choice([0, 0, rng.randint(-9, 9)]), rng.randint(1, 6))
+                  for _ in range(c)] for _ in range(r)] for r, c in ((n, k), (k, m)))
+        prod = matrix(a, n, k) @ matrix(b, k, m)
+        expected = [[sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0))
+                     for j in range(m)] for i in range(n)]
+        assert prod == matrix(expected, n, m)
+        assert all(type(x) is Fraction for row in prod.data for x in row)
+
+
+def test_products_keep_every_empty_shape():
+    assert QMatrix.zeros(3, 0) @ QMatrix.zeros(0, 2) == QMatrix.zeros(3, 2)
+    assert QMatrix.zeros(0, 4) @ QMatrix.identity(4) == QMatrix.zeros(0, 4)
+    n_by_0 = QMatrix.identity(2) @ QMatrix.zeros(2, 0)
+    assert (n_by_0.rows, n_by_0.cols, n_by_0.data) == (2, 0, ((), ()))
 
 
 def test_zero_row_shapes_survive_scale_and_sums():
