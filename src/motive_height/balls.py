@@ -1,23 +1,29 @@
 """Certified real and complex arithmetic: (midpoint, radius) balls over mpmath.
 
 Every archimedean quantity in this package is a ball: an mpf midpoint plus a
-nonnegative mpf radius guaranteed to contain the true value.  Arithmetic
-propagates radii by interval rules and inflates them by a few ulp per
-operation to absorb rounding of the midpoint itself.  Operations between two
-exact balls (radius zero) are carried out exactly and kept exact when the
-exact result is representable at the working precision, so identities like
+nonnegative mpf radius guaranteed to contain the true value.  Every ball is
+made by one rule, after Arb's radii (arXiv:1611.02831): compute the midpoint
+exactly, round it once to nearest at the working precision, and add the
+exact rounding move to the radius, rounded up.  Sums, differences and
+products form their midpoints and radius terms exactly; a quotient adds its
+exact move |a - mid b| / |b| to the propagated bound; ``sqrt`` encloses
+correctly rounded directed endpoints, and ``log``, ``exp`` and ``pi``, which
+mpmath rounds faithfully but not correctly, move their directed endpoints
+one more ulp outward.  An operation on exact balls whose exact result fits
+the working precision therefore stays exact, so identities like
 h(Q(0)) = 0 come out with radius literally zero.
 
 Determinants and solves run in one integer fixed-point elimination with
-radii counted in ulps (after Arb, arXiv:1611.02831): entries, scaled by
-powers of two, are Gaussian integers at scale 2^(mp.prec + _FIX_GUARD) with
-one integer disk radius each.  Every rounding is bounded in integers, and an
-ulp is added only where bits are dropped, so exact data stay exact.
+radii counted in ulps: entries, scaled by powers of two, are Gaussian
+integers at scale 2^(precision + _FIX_GUARD) with one integer disk radius
+each.  Every rounding is bounded in integers, and an ulp is added only where
+bits are dropped, so exact data stay exact.
 
-Precision is process-global (it wraps mpmath's context): use
-``working_precision(bits)`` around a computation.  The stated bit count is
-the nominal fractional precision; a fixed number of guard bits is added
-internally.
+Precision is process-global: use ``working_precision(bits)`` around a
+computation.  The stated bit count is the nominal fractional precision; a
+fixed number of guard bits is added internally.  Every rounding here takes
+its precision from ``current_bits()``, never from mpmath's ``mp.prec``, so a
+caller who changes ``mp.prec`` does not change a result.
 """
 
 from __future__ import annotations
@@ -26,9 +32,11 @@ from fractions import Fraction
 from math import isqrt, lcm
 from typing import Iterable
 
-from mpmath import mp, mpf, isfinite, nstr
-from mpmath.libmp import (from_int, from_man_exp, mpf_abs, mpf_div, mpf_neg,
-                          round_nearest, round_up)
+from mpmath import mp, mpf, nstr
+from mpmath.libmp import (from_int, from_man_exp, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_div,
+                          mpf_exp, mpf_log, mpf_mul, mpf_neg, mpf_pi, mpf_shift,
+                          mpf_sign, mpf_sqrt, mpf_sub, round_ceiling, round_down,
+                          round_floor, round_nearest, round_up)
 
 _DEFAULT_BITS = 128
 _GUARD_BITS = 30
@@ -46,7 +54,10 @@ class ZeroVector(ValueError):
 
 
 class working_precision:
-    """Context manager: run the enclosed computation at ``bits`` of precision."""
+    """Context manager: run the enclosed computation at ``bits`` of precision.
+
+    It also sets mpmath's ``mp.prec`` to match, for callers that use mpmath
+    directly, and restores the caller's value on exit."""
 
     def __init__(self, bits: int):
         if bits < 8:
@@ -70,16 +81,10 @@ def current_bits() -> int:
     return _bits
 
 
-def _ulp(x) -> mpf:
-    # Generous per-operation rounding slack: 16 ulp at the working precision.
-    if x == 0:
-        return mpf(0)
-    return abs(x) * mpf(2) ** (4 - mp.prec)
-
-
-def _representable(x) -> bool:
-    """x is stored without rounding at the working precision."""
-    return x.bc <= mp.prec
+def _prec() -> int:
+    """Mantissa bits of every rounding in this module: the working precision
+    plus the guard bits."""
+    return current_bits() + _GUARD_BITS
 
 
 def _power(x, n: int, cls):
@@ -97,11 +102,57 @@ def _power(x, n: int, cls):
 def _coerce(x) -> "RealBall":
     if isinstance(x, RealBall):
         return x
-    if isinstance(x, int):
-        return RealBall.exact_int(x)
-    if isinstance(x, Fraction):
-        return RealBall.from_fraction(x)
+    if isinstance(x, (int, Fraction)):
+        return RealBall(x)
     raise TypeError(f"cannot coerce {type(x).__name__} to RealBall")
+
+
+def _parts(x) -> tuple[int, int, int]:
+    """x = n 2^e / d exactly, as (n, e, d), for an mpf, int or Fraction."""
+    if isinstance(x, mpf):
+        sign, man, exp, _ = x._mpf_
+        if not man and exp:
+            raise ValueError(f"non-finite ball part {x!r}")
+        return (-man if sign else man), exp, 1
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, 0, x.denominator
+    # a decimal string is rarely a binary fraction: from_decimal reads it exactly
+    raise TypeError(f"a ball part must be an mpf, int or Fraction, not "
+                    f"{type(x).__name__}; parse decimal strings with RealBall.from_decimal")
+
+
+def _rounded(n: int, e: int, d: int, r: int, er: int) -> "RealBall":
+    """The ball (n 2^e ± r 2^er) / d by the one rounding rule: the midpoint
+    rounded to nearest, and the radius plus the exact move |n 2^e - d mid| / d,
+    rounded up."""
+    prec = _prec()
+    sign, man, exp, _ = mid = mpf_div(from_man_exp(n, e), from_int(d), prec, round_nearest)
+    c = min(e, er, exp)
+    r = (r << (er - c)) + abs((n << (e - c)) - d * ((-man if sign else man) << (exp - c)))
+    ball = RealBall.__new__(RealBall)
+    ball.mid = mp.make_mpf(mid)
+    ball.rad = mp.make_mpf(mpf_div(from_man_exp(r, c), from_int(d), prec, round_up))
+    return ball
+
+
+def _ball(mid: tuple, rad: tuple) -> "RealBall":
+    """The ball of an exact raw midpoint and an exact raw radius."""
+    sign, man, exp, _ = mid
+    return _rounded(-man if sign else man, exp, 1, rad[1], rad[2])
+
+
+def _span(lo: tuple, hi: tuple) -> "RealBall":
+    """The ball [lo, hi] of raw endpoints."""
+    return _ball(mpf_shift(mpf_add(lo, hi), -1), mpf_shift(mpf_sub(hi, lo), -1))
+
+
+def _outward(lo: tuple, hi: tuple) -> "RealBall":
+    """[lo, hi] for directed endpoints of mpmath's log, exp or pi.  These are
+    faithful, not correctly rounded, so each endpoint moves out by 2^(1-prec)
+    of its magnitude, at least an ulp; an exact zero (log 1) stays put."""
+    shift = 1 - _prec()
+    return _span(mpf_sub(lo, mpf_shift(mpf_abs(lo), shift)),
+                 mpf_add(hi, mpf_shift(mpf_abs(hi), shift)))
 
 
 class RealBall:
@@ -110,72 +161,45 @@ class RealBall:
     __slots__ = ("mid", "rad")
 
     def __init__(self, mid, rad=0):
-        if isinstance(mid, str):
-            # a decimal string is rarely a binary fraction: the rounding
-            # move cannot be measured here, so the radius would be wrong
-            raise TypeError("RealBall midpoint must be a number; "
-                            "parse decimal strings with RealBall.from_decimal")
-        if type(mid) is not mpf or not _representable(mid):
-            # rounding to the working precision moves the midpoint: widen
-            # the radius by the move, rounded up
-            rounded = mpf(mid)
-            move = mp.fsub(mid, rounded, exact=True)
-            if move:
-                rad = mp.fadd(rad, mp.make_mpf(mpf_abs(move._mpf_)), rounding="u")
-            mid = rounded
-        self.mid = mid
-        self.rad = rad if type(rad) is mpf else mpf(rad)
-        if self.rad < 0 or not isfinite(self.rad):
+        """mid and rad are mpfs, ints or Fractions, taken exactly."""
+        n, e, d = _parts(mid)
+        r, er, dr = _parts(rad)
+        if r < 0:
             raise ValueError(f"invalid radius {rad!r}")
+        if dr != 1:  # a rational radius, rounded up to a binary one
+            _, r, er, _ = mpf_div(from_int(r), from_int(dr), _prec(), round_up)
+        ball = _rounded(n, e, d, r * d, er)
+        self.mid, self.rad = ball.mid, ball.rad
 
     # ---- constructors ----
 
     @classmethod
-    def exact_int(cls, n: int) -> "RealBall":
-        m = mpf(n)
-        if m == n:
-            return cls(m, 0)
-        return cls(m, _ulp(m))  # integer wider than the working precision
-
-    @classmethod
-    def from_fraction(cls, q: Fraction) -> "RealBall":
-        q = Fraction(q)
-        num = RealBall.exact_int(q.numerator)
-        if q.denominator == 1:
-            return num
-        return num / RealBall.exact_int(q.denominator)
-
-    @classmethod
     def from_decimal(cls, s: str, digits: int | None = None) -> "RealBall":
         """Parse a decimal literal; ``digits`` is the author's certified accuracy."""
-        mid = mpf(s)
-        rad = _ulp(mid) if mid != 0 else mpf(0)
-        if digits is not None:
-            scale = abs(mid) if mid != 0 else mpf(1)
-            rad += scale * mpf(10) ** (-int(digits))
-        return cls(mid, rad)
+        q = Fraction(s)
+        return cls(q, 0 if digits is None else Fraction(abs(q) or 1, 10 ** int(digits)))
 
     @classmethod
     def zero(cls) -> "RealBall":
-        return cls(0, 0)
+        return cls(0)
 
     @classmethod
     def one(cls) -> "RealBall":
-        return cls(1, 0)
+        return cls(1)
 
     @classmethod
     def pi(cls) -> "RealBall":
-        return cls(+mp.pi, _ulp(+mp.pi))
+        return _outward(mpf_pi(_prec(), round_floor), mpf_pi(_prec(), round_ceiling))
 
     # ---- predicates / accessors ----
 
     @property
     def lower(self) -> mpf:
-        return self.mid - self.rad
+        return mp.make_mpf(mpf_sub(self.mid._mpf_, self.rad._mpf_, _prec(), round_floor))
 
     @property
     def upper(self) -> mpf:
-        return self.mid + self.rad
+        return mp.make_mpf(mpf_add(self.mid._mpf_, self.rad._mpf_, _prec(), round_ceiling))
 
     def is_exact(self) -> bool:
         return self.rad == 0
@@ -189,28 +213,21 @@ class RealBall:
         return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
     def contains_zero(self) -> bool:
-        return abs(self.mid) <= self.rad
+        return mpf_cmp(mpf_abs(self.mid._mpf_), self.rad._mpf_) <= 0
 
     def overlaps(self, other: "RealBall") -> bool:
-        return abs(self.mid - other.mid) <= self.rad + other.rad
+        return self.lower <= other.upper and other.lower <= self.upper
 
     # ---- arithmetic ----
 
     def __add__(self, other):
         o = _coerce(other)
-        if self.rad == 0 and o.rad == 0:
-            exact = mp.fadd(self.mid, o.mid, exact=True)
-            if _representable(exact):
-                return RealBall(exact, 0)
-        mid = self.mid + o.mid
-        return RealBall(mid, self.rad + o.rad + _ulp(mid))
+        return _ball(mpf_add(self.mid._mpf_, o.mid._mpf_), mpf_add(self.rad._mpf_, o.rad._mpf_))
 
     __radd__ = __add__
 
     def __neg__(self):
-        # exact sign flip, so a midpoint wider than the working precision
-        # reaches the constructor unrounded and widens the radius there
-        return RealBall(mp.make_mpf(mpf_neg(self.mid._mpf_)), self.rad)
+        return _ball(mpf_neg(self.mid._mpf_), self.rad._mpf_)
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -220,14 +237,10 @@ class RealBall:
 
     def __mul__(self, other):
         o = _coerce(other)
-        if self.rad == 0 and o.rad == 0:
-            exact = mp.fmul(self.mid, o.mid, exact=True)
-            if _representable(exact):
-                return RealBall(exact, 0)
-        mid = self.mid * o.mid
-        rad = (abs(self.mid) * o.rad + abs(o.mid) * self.rad
-               + self.rad * o.rad + _ulp(mid))
-        return RealBall(mid, rad)
+        a, ra, b, rb = self.mid._mpf_, self.rad._mpf_, o.mid._mpf_, o.rad._mpf_
+        # |xy - ab| <= |a| rb + |b| ra + ra rb
+        rad = mpf_add(mpf_add(mpf_mul(mpf_abs(a), rb), mpf_mul(mpf_abs(b), ra)), mpf_mul(ra, rb))
+        return _ball(mpf_mul(a, b), rad)
 
     __rmul__ = __mul__
 
@@ -235,53 +248,41 @@ class RealBall:
         o = _coerce(other)
         if o.contains_zero():
             raise PrecisionExhausted("division by a ball containing zero")
-        mid = self.mid / o.mid
-        if self.rad == 0 and o.rad == 0 and \
-                mp.fmul(mid, o.mid, exact=True) == self.mid:
-            return RealBall(mid, 0)  # the rounded quotient is the exact one
-        # |a/b - a0/b0| <= (|a0| rb + |b0| ra) / (|b0| (|b0| - rb))
-        denom = abs(o.mid) * (abs(o.mid) - o.rad)
-        rad = (abs(self.mid) * o.rad + abs(o.mid) * self.rad) / denom + _ulp(mid)
-        return RealBall(mid, rad)
+        a, ra, b, rb = self.mid._mpf_, self.rad._mpf_, o.mid._mpf_, o.rad._mpf_
+        prec, babs = _prec(), mpf_abs(b)
+        mid, low = mpf_div(a, b, prec, round_nearest), mpf_sub(babs, rb)
+        # |x/y - mid| <= (|a| rb + |b| ra) / (|b| (|b| - rb)) + |a - mid b| / |b|
+        rad = mpf_add(mpf_add(mpf_mul(mpf_abs(a), rb), mpf_mul(babs, ra)),
+                      mpf_mul(mpf_abs(mpf_sub(a, mpf_mul(mid, b))), low))
+        return _ball(mid, mpf_div(rad, mpf_mul(babs, low), prec, round_up))
 
     def __rtruediv__(self, other):
         return _coerce(other) / self
 
     def __abs__(self):
         # Valid enclosure: ||t| - |mid|| <= |t - mid| <= rad; |mid| exactly.
-        return RealBall(mp.make_mpf(mpf_abs(self.mid._mpf_)), self.rad)
+        return _ball(mpf_abs(self.mid._mpf_), self.rad._mpf_)
 
     def __pow__(self, n: int):
         return _power(self, n, RealBall)
 
     def sqrt(self) -> "RealBall":
-        lo, hi = self.lower, self.upper
-        if hi < 0:
+        lo, hi = self.lower._mpf_, self.upper._mpf_
+        if mpf_sign(hi) < 0:
             raise PrecisionExhausted("sqrt of a negative ball")
-        slo = mp.sqrt(lo) if lo > 0 else mpf(0)
-        shi = mp.sqrt(hi)
-        mid = (slo + shi) / 2
-        rad = (shi - slo) / 2 + _ulp(mid)
-        if self.rad == 0 and mp.fmul(shi, shi, exact=True) == self.mid:
-            return RealBall(shi, 0)
-        return RealBall(mid, rad)
+        # mpf_sqrt rounds correctly, so its directed endpoints need no move
+        slo = mpf_sqrt(lo, _prec(), round_down) if mpf_sign(lo) > 0 else fzero
+        return _span(slo, mpf_sqrt(hi, _prec(), round_up))
 
     def log(self) -> "RealBall":
-        lo, hi = self.lower, self.upper
-        if lo <= 0:
+        lo, hi = self.lower._mpf_, self.upper._mpf_
+        if mpf_sign(lo) <= 0:
             raise PrecisionExhausted("log of a ball touching (-inf, 0]")
-        if self.rad == 0 and self.mid == 1:
-            return RealBall.zero()
-        llo, lhi = mp.log(lo), mp.log(hi)
-        mid = (llo + lhi) / 2
-        return RealBall(mid, (lhi - llo) / 2 + _ulp(mid) + _ulp(lhi))
+        return _outward(mpf_log(lo, _prec(), round_floor), mpf_log(hi, _prec(), round_ceiling))
 
     def exp(self) -> "RealBall":
-        if self.rad == 0 and self.mid == 0:
-            return RealBall.one()
-        elo, ehi = mp.exp(self.lower), mp.exp(self.upper)
-        mid = (elo + ehi) / 2
-        return RealBall(mid, (ehi - elo) / 2 + _ulp(mid) + _ulp(ehi))
+        lo, hi = self.lower._mpf_, self.upper._mpf_
+        return _outward(mpf_exp(lo, _prec(), round_floor), mpf_exp(hi, _prec(), round_ceiling))
 
     # ---- display ----
 
@@ -306,19 +307,15 @@ class ComplexBall:
 
     __slots__ = ("re", "im", "exact")
 
-    def __init__(self, re, im=None, exact=None):
-        self.re = re if isinstance(re, RealBall) else _coerce(re)
-        if im is None:
-            im = RealBall.zero()
-        self.im = im if isinstance(im, RealBall) else _coerce(im)
-        self.exact = exact
+    def __init__(self, re, im=0, exact=None):
+        self.re, self.im, self.exact = _coerce(re), _coerce(im), exact
 
     # ---- constructors ----
 
     @classmethod
     def from_rationals(cls, re, im=0) -> "ComplexBall":
         re, im = Fraction(re), Fraction(im)
-        return cls(RealBall.from_fraction(re), RealBall.from_fraction(im), {0: (re, im)})
+        return cls(RealBall(re), RealBall(im), {0: (re, im)})
 
     @classmethod
     def zero(cls) -> "ComplexBall":
@@ -474,17 +471,11 @@ def _rational_times_balls(q, b) -> BallMatrix:
 def _dot(d: int, terms: list, mids: list, e: int, rads: list, er: int) -> RealBall:
     """sum_t n_t x_t / d over (t, n_t) in terms, for x_t = mids[t] 2^e with
     radius rads[t] 2^er."""
-    s = sum(n * mids[t] for t, n in terms)
-    sign, man, exp, _ = mid = mpf_div(from_man_exp(s, e), from_int(d), mp.prec, round_nearest)
-    # the radius plus the rounding move |s 2^e - d mid|, exactly, in units 2^c
-    c = min(e, er, exp)
-    rad = (sum(abs(n) * rads[t] for t, n in terms) << (er - c)) + abs(
-        (s << (e - c)) - d * ((-man if sign else man) << (exp - c)))
-    rad = mpf_div(from_man_exp(rad, c), from_int(d), mp.prec, round_up)
-    return RealBall(mp.make_mpf(mid), mp.make_mpf(rad))
+    return _rounded(sum(n * mids[t] for t, n in terms), e, d,
+                    sum(abs(n) * rads[t] for t, n in terms), er)
 
 
-_FIX_GUARD = 8  # bits of the fixed point beyond mp.prec
+_FIX_GUARD = 8  # bits of the fixed point beyond the working mantissa
 
 
 def _fixed(z: ComplexBall, shift: int) -> tuple[int, int, int]:
@@ -513,9 +504,7 @@ def _divide(ar: int, ai: int, ra: int, pivot: tuple, shift: int) -> tuple[int, i
 
 def _complex_ball(re: int, im: int, rad: int, exp: int) -> ComplexBall:
     """(re + i im) 2^exp with disk radius rad 2^exp, as a rectangle."""
-    r = mp.make_mpf(from_man_exp(rad, exp, 32, round_up))
-    return ComplexBall(RealBall(mp.make_mpf(from_man_exp(re, exp)), r),
-                       RealBall(mp.make_mpf(from_man_exp(im, exp)), r))
+    return ComplexBall(_rounded(re, exp, 1, rad, exp), _rounded(im, exp, 1, rad, exp))
 
 
 def _eliminate(a: BallMatrix, rhs: BallMatrix | None = None):
@@ -524,7 +513,7 @@ def _eliminate(a: BallMatrix, rhs: BallMatrix | None = None):
     Returns (F, pivots, rows, sign, exp, col): pivot k is (pr, pi, rp, |p|^2,
     isqrt |p|^2), row k the lists (re, im, radius) of its row, column j was
     scaled by 2^-col[j], and det a = sign prod_k (pr + i pi) 2^exp."""
-    n, frac = len(a), mp.prec + _FIX_GUARD
+    n, frac = len(a), _prec() + _FIX_GUARD
     mask = (1 << frac) - 1
     full = [tuple(a[i]) + (tuple(rhs[i]) if rhs is not None else ()) for i in range(n)]
     mags = [[max((e + bc for _, man, e, bc in (z.re.mid._mpf_, z.im.mid._mpf_) if man),

@@ -123,7 +123,7 @@ def full_quotient_spec(m: MotiveData, p: int, exponent: int = 1) -> QuotientSpec
     if not isinstance(fl, FilPhiModule):
         raise IncompatibleSpec(f"no filtered module at p={p}")
     n = m.rank
-    binv = fl.lattice.basis.inverse()
+    binv = fl.lattice.basis_inverse()
     phi_d = binv @ fl.phi @ fl.lattice.basis
     a, b = m.window
     fil_u = tuple((i, binv @ fl.filtration_matrix(i)) for i in range(a + 1, b))
@@ -187,7 +187,7 @@ def validate_spec(m: MotiveData, spec: QuotientSpec) -> None:
     if any(d % p == 0 for d in divisors):
         raise IncompatibleSpec("q_dr is not surjective at p")
     # Frobenius compatibility in D-coordinates, exactly
-    binv = fl.lattice.basis.inverse()
+    binv = fl.lattice.basis_inverse()
     phi_d = binv @ fl.phi @ fl.lattice.basis
     if spec.phi_u @ spec.q_dr != spec.q_dr @ phi_d:
         raise IncompatibleSpec("phi_U does not intertwine q_dr with phi")
@@ -256,7 +256,7 @@ def sublattice_motive(m: MotiveData, spec: QuotientSpec,
 
     kd = kernel_mod(spec.q_dr, q)                     # D-coordinates
     new_lattice = Lattice(fl.lattice.basis @ kd)      # ambient
-    binv = fl.lattice.basis.inverse()
+    binv = fl.lattice.basis_inverse()
     new_fil = {}
     for i in range(a + 1, b):
         fil_i = fl.filtration_matrix(i)
@@ -362,7 +362,7 @@ def n_of_m(m: MotiveData) -> RealBall:
     the primes themselves over Q)."""
     total = RealBall.zero()
     for p in sorted(m.bad_primes):
-        total = total + RealBall.exact_int(p).log()
+        total = total + RealBall(p).log()
     return total
 
 

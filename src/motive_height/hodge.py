@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Sequence
 
 from .balls import (
     BallMatrix,
@@ -239,43 +239,18 @@ def hodge_decompose(h: HodgeStructure) -> HodgeDecomposition:
 # the metric
 # ---------------------------------------------------------------------------
 
-TargetCoords = Union[int, Fraction, RealBall, ComplexBall,
-                     Mapping[int, Union[int, Fraction, RealBall, ComplexBall]]]
-
-
-def _as_complex(c) -> ComplexBall:
-    if isinstance(c, ComplexBall):
-        return c
-    if isinstance(c, RealBall):
-        return ComplexBall(c, RealBall.zero())
-    if isinstance(c, (int, Fraction)):
-        return ComplexBall.from_rationals(Fraction(c))
-    raise TypeError(f"bad coordinate {c!r}")
-
-
-def line_metric(h: HodgeStructure, target: TargetCoords = 1) -> RealBall:
+def line_metric(h: HodgeStructure,
+                target: int | Fraction | RealBall | ComplexBall = 1) -> RealBall:
     """Canonical metric of an element of L(H) = tensor_r (det gr^r)^{x r}.
 
-    ``target`` is either a single scalar c (the element c times the tensor
-    of the gr^r reference wedges) or a map r -> c_r meaning
-    tensor_r (c_r * ref_r)^{x r}.  Returns
-    |target| = coeff * |det P|^a * prod_{a<r<b} |D_r|^{1/2} as a certified ball.
+    ``target`` is a scalar c, meaning c times the tensor of the gr^r
+    reference wedges.  Returns
+    |c| * |det P|^a * prod_{a<r<b} |D_r|^{1/2} as a certified ball.
     """
-    dims = h.dims()
-    coeff = RealBall.one()
-    if isinstance(target, Mapping):
-        for r, c in target.items():
-            cb = _as_complex(c)
-            if cb.contains_zero():
-                raise ZeroVector(f"target coordinate at level {r} vanishes")
-            if dims.get(r, 0) == 0 and r != 0:
-                raise ValueError(f"level {r} has no graded piece")
-            coeff = coeff * cb.abs_ball() ** r
-    else:
-        cb = _as_complex(target)
-        if cb.contains_zero():
-            raise ZeroVector("target vanishes")
-        coeff = cb.abs_ball()
+    c = target if isinstance(target, ComplexBall) else ComplexBall(target)
+    if c.contains_zero():
+        raise ZeroVector("target vanishes")
+    coeff = c.abs_ball()
     if h.n == 0:
         return coeff
 

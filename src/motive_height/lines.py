@@ -27,7 +27,7 @@ class MissingMetric(ValueError):
 class Lattice:
     """Full-rank lattice in Q^n: the column Hermite form of its generators."""
 
-    __slots__ = ("n", "basis")
+    __slots__ = ("n", "basis", "_inverse")
 
     def __init__(self, generators: QMatrix):
         """Any n x m generator matrix of rank n; its Hermite form has one
@@ -36,6 +36,14 @@ class Lattice:
         self.n = generators.rows
         if self.basis.cols != self.n:
             raise ValueError("lattice basis is singular")
+        self._inverse = None
+
+    def basis_inverse(self) -> QMatrix:
+        """basis^-1, which takes ambient coordinates to coordinates in the
+        basis; computed on first use and kept."""
+        if self._inverse is None:
+            self._inverse = self.basis.inverse()
+        return self._inverse
 
     @classmethod
     def standard(cls, n: int) -> "Lattice":
@@ -146,7 +154,7 @@ class MetrizedLine:
 
     def generator_norm(self) -> RealBall:
         """|e| for e = lattice_scalar * ref, the Z-basis of the lattice."""
-        return RealBall.from_fraction(self.lattice_scalar) * self.metric()
+        return RealBall(self.lattice_scalar) * self.metric()
 
 
 def line_tensor(factors: Sequence[tuple[MetrizedLine, int]]) -> MetrizedLine:

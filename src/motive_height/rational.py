@@ -126,9 +126,6 @@ class QMatrix:
 
     # ---- elimination-based operations ----
 
-    def rank(self) -> int:
-        return len(_row_echelon([list(r) for r in self.data])[1])
-
     def det(self) -> Fraction:
         assert self.rows == self.cols, "determinant of a non-square matrix"
         if self.rows == 0:
@@ -173,27 +170,6 @@ class QMatrix:
                     f = aug[i][k]
                     aug[i] = [a - f * b for a, b in zip(aug[i], aug[k])]
         return QMatrix._make(tuple(tuple(row[n:]) for row in aug), m)
-
-
-def _row_echelon(work: list[list[Fraction]]):
-    rows = len(work)
-    cols = len(work[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if work[i][c] != 0), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        for i in range(rows):
-            if i != r and work[i][c]:
-                f = work[i][c] / work[r][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return work, pivots
 
 
 # ---------------------------------------------------------------------------

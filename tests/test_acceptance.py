@@ -253,7 +253,7 @@ def test_criterion_6_metric_properties():
         h, _ = random_pure_hodge(rng, max_rank=3)
         c = Fraction(rng.randint(1, 12), rng.randint(1, 12))
         lhs = line_metric(h, c)
-        rhs = RealBall.from_fraction(c) * line_metric(h, 1)
+        rhs = RealBall(c) * line_metric(h, 1)
         ok = ok and lhs.overlaps(rhs)
     # direct-sum multiplicativity
     for _ in range(200):

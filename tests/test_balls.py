@@ -1,8 +1,11 @@
+import operator
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp
 
 from motive_height import cli, hodge
 from motive_height.balls import (
@@ -34,13 +37,23 @@ def contains_value(b: RealBall, x) -> bool:
     return b.lower <= mpf(x) <= b.upper
 
 
+def fraction(x: mpf) -> Fraction:
+    """The exact value of an mpf."""
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * man * Fraction(2) ** exp
+
+
+def encloses(b: RealBall, value: Fraction) -> bool:
+    return abs(value - fraction(b.mid)) <= fraction(b.rad)
+
+
 def test_exact_integers_and_identities():
     one = RealBall.one()
     assert one.is_exact()
     assert (one * one).is_exact()
     assert (one + RealBall.zero()).is_exact()
     assert (one ** 0).is_exact() and (one ** 0).mid == 1
-    assert RealBall.exact_int(7).log().contains_zero() is False
+    assert RealBall(7).log().contains_zero() is False
     assert RealBall.one().log().is_exact()
     assert RealBall.one().log().mid == 0
     assert RealBall.zero().exp().mid == 1
@@ -48,11 +61,11 @@ def test_exact_integers_and_identities():
 
 def test_fraction_roundtrip_encloses_truth():
     with working_precision(64):
-        third = RealBall.from_fraction(Fraction(1, 3))
+        third = RealBall(Fraction(1, 3))
         assert not third.is_exact()
         mp.prec = 300
         assert contains_value(third, mpf(1) / 3)
-    half = RealBall.from_fraction(Fraction(1, 2))
+    half = RealBall(Fraction(1, 2))
     assert half.is_exact()  # dyadic
 
 
@@ -61,15 +74,12 @@ def test_arithmetic_enclosure_random():
     for _ in range(200):
         a = Fraction(rng.randint(-50, 50), rng.randint(1, 30))
         b = Fraction(rng.randint(-50, 50), rng.randint(1, 30))
-        A, B = RealBall.from_fraction(a), RealBall.from_fraction(b)
-        assert contains_value(A + B, mpf(str(float(a + b)))) or True
-        for op, truth in ((A + B, a + b), (A - B, a - b), (A * B, a * b)):
-            t = mpf(truth.numerator) / truth.denominator
-            assert op.lower - mpf(10) ** -30 <= t <= op.upper + mpf(10) ** -30
+        A, B = RealBall(a), RealBall(b)
+        checks = [(A + B, a + b), (A - B, a - b), (A * B, a * b)]
         if b != 0:
-            q = A / B
-            t = mpf((a / b).numerator) / (a / b).denominator
-            assert q.lower - mpf(10) ** -30 <= t <= q.upper + mpf(10) ** -30
+            checks.append((A / B, a / b))
+        for ball, truth in checks:
+            assert encloses(ball, truth)
 
 
 def test_sum_below_precision_is_not_exact():
@@ -91,11 +101,11 @@ def test_square_wider_than_precision_is_not_exact():
 
 
 def test_exact_division_and_sqrt_only_when_exact():
-    assert (RealBall.exact_int(3) / RealBall.exact_int(4)).is_exact()
-    assert not (RealBall.exact_int(1) / RealBall.exact_int(3)).is_exact()
-    assert RealBall.exact_int(49).sqrt().is_exact()
-    assert RealBall.exact_int(49).sqrt().mid == 7
-    assert not RealBall.exact_int(2).sqrt().is_exact()
+    assert (RealBall(3) / RealBall(4)).is_exact()
+    assert not (RealBall(1) / RealBall(3)).is_exact()
+    assert RealBall(49).sqrt().is_exact()
+    assert RealBall(49).sqrt().mid == 7
+    assert not RealBall(2).sqrt().is_exact()
     with working_precision(128):
         x = RealBall(1, 0) + RealBall(mpf(2) ** -100, 0)  # x^2 needs 201 bits
         assert not x.sqrt().is_exact()
@@ -159,7 +169,7 @@ def test_division_by_zero_ball_raises():
 
 
 def test_sqrt_log_exp_enclosures():
-    two = RealBall.exact_int(2)
+    two = RealBall(2)
     r = two.sqrt()
     assert contains_value(r * r, 2)
     l = two.log()
@@ -167,7 +177,7 @@ def test_sqrt_log_exp_enclosures():
     with pytest.raises(PrecisionExhausted):
         RealBall(0, 0).log()
     with pytest.raises(PrecisionExhausted):
-        RealBall.exact_int(-1).sqrt()
+        RealBall(-1).sqrt()
 
 
 def test_pi_and_precision_monotonicity():
@@ -235,6 +245,124 @@ def test_string_midpoint_rejected():
     mid = RealBall(ball.mid).exact_fraction()
     rad = RealBall(ball.rad).exact_fraction()
     assert 0 < rad and abs(mid - Fraction(1, 10)) <= rad
+
+
+# ---------------------------------------------------------------------------
+# the one rounding rule of the scalar operations
+# ---------------------------------------------------------------------------
+
+def test_radius_terms_are_rounded_up():
+    # 1 + 2^-200 does not fit 128 bits: a radius sum rounded to nearest came
+    # out as exactly 1, which excludes the true sum and product
+    tiny = mp.ldexp(1, -200)
+    with working_precision(128):
+        for ball in (RealBall(0, 1) + RealBall(0, tiny), RealBall(0, 1) * RealBall(1, tiny)):
+            assert fraction(ball.rad) >= 1 + Fraction(1, 2 ** 200)
+
+
+def _operand(rng, width: int) -> RealBall:
+    """A ball of magnitude up to about 2^8: exact, exact with a mantissa of
+    twice the working width (which the constructor rounds), centred at zero,
+    radius-dominated (|mid| < rad) or midpoint-dominated."""
+    kind = rng.choice(["exact", "exact", "wide", "zero", "radius", "mid"])
+    bits = 2 * width if kind == "wide" else rng.randint(1, 60)
+    man, exp = rng.randint(-2 ** bits, 2 ** bits), rng.randint(-12, 4) - bits
+    mid = mp.make_mpf(from_man_exp(man, exp))
+    if kind == "zero":
+        return RealBall(0, mp.make_mpf(from_man_exp(rng.randint(1, 2 ** 20), rng.randint(-60, -16))))
+    if kind in ("exact", "wide"):
+        ball = RealBall(mid)
+        assert encloses(ball, fraction(mid))
+        return ball
+    shift = rng.randint(1, 4) if kind == "radius" else -rng.randint(10, 100)
+    return RealBall(mid, mp.make_mpf(from_man_exp(abs(man) + 1, exp + shift)))
+
+
+def _corners(b: RealBall) -> tuple[Fraction, Fraction]:
+    return fraction(b.mid) - fraction(b.rad), fraction(b.mid) + fraction(b.rad)
+
+
+def _oracle(f, q: Fraction, width: int) -> tuple[Fraction, Fraction]:
+    """An interval around f(q), for a dyadic q, from mpmath at four times
+    the working width."""
+    with mp.workprec(4 * width):
+        v = fraction(f(mp.make_mpf(from_man_exp(q.numerator, 1 - q.denominator.bit_length()))))
+    slack = abs(v) / 2 ** (4 * width - 8)
+    return v - slack, v + slack
+
+
+def _dyadic_sqrt(q: Fraction) -> Fraction | None:
+    n, d = q.numerator, q.denominator
+    if q >= 0 and isqrt(n) ** 2 == n and isqrt(d) ** 2 == d:
+        return Fraction(isqrt(n), isqrt(d))
+    return None
+
+
+def _assert_encloses_tightly(ball: RealBall, values, width: int):
+    """ball holds every value, and its radius is at most their spread plus
+    a few ulp."""
+    assert all(encloses(ball, v) for v in values)
+    spread = max(values) - min(values)
+    assert fraction(ball.rad) <= spread + (1 + max(map(abs, values))) / 2 ** (width - 4)
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256])
+def test_scalar_operations_enclose_exact_values(bits):
+    # the image of a ball under + - * / (over both corners of each operand)
+    # and under the monotone sqrt, log and exp is spanned by the images of
+    # the corners, so a result holding those holds every possible value
+    rng = random.Random(bits)
+    with working_precision(bits):
+        width = mp.prec
+        for _ in range(150):
+            a, b = _operand(rng, width), _operand(rng, width)
+            exact = a.is_exact() and b.is_exact()
+            ops = [(operator.add, a + b), (operator.sub, a - b), (operator.mul, a * b)]
+            if b.contains_zero():
+                with pytest.raises(PrecisionExhausted):
+                    a / b
+            else:
+                ops.append((operator.truediv, a / b))
+            for op, ball in ops:
+                values = [op(x, y) for x in _corners(a) for y in _corners(b)]
+                _assert_encloses_tightly(ball, values, width)
+                if exact:
+                    assert ball.is_exact() == fits(values[0])
+
+            lo, hi = _corners(a)
+            if hi < 0:
+                with pytest.raises(PrecisionExhausted):
+                    a.sqrt()
+            else:
+                r = a.sqrt()
+                low, high = _corners(r)
+                # sqrt(max(lo, 0)) and sqrt(hi) lie in [low, high], exactly
+                assert (low <= 0 or low ** 2 <= max(lo, 0)) and high >= 0 and high ** 2 >= hi
+                root = _dyadic_sqrt(lo)
+                if a.is_exact():
+                    assert r.is_exact() == (root is not None and fits(root))
+            if lo <= 0:
+                with pytest.raises(PrecisionExhausted):
+                    a.log()
+            else:
+                values = [*_oracle(mp.log, lo, width), *_oracle(mp.log, hi, width)]
+                _assert_encloses_tightly(a.log(), values, width)
+                if a.is_exact():
+                    assert a.log().is_exact() == (lo == 1)
+            # exp has no exact case: exp(0) = 1 carries the outward ulp too
+            values = [*_oracle(mp.exp, lo, width), *_oracle(mp.exp, hi, width)]
+            _assert_encloses_tightly(a.exp(), values, width)
+
+
+def test_exact_identities_of_the_transcendental_operations():
+    for bits in (64, 128, 256):
+        with working_precision(bits):
+            assert RealBall(1).log().is_exact() and RealBall(1).log().mid == 0
+            assert RealBall(Fraction(9, 16)).sqrt().exact_fraction() == Fraction(3, 4)
+            one = RealBall(0).exp()
+            assert encloses(one, Fraction(1)) and fraction(one.rad) <= Fraction(2, 2 ** mp.prec)
+            _assert_encloses_tightly(RealBall.pi(), _oracle(lambda x: x * mp.pi, Fraction(1), mp.prec),
+                                     mp.prec)
 
 
 # ---------------------------------------------------------------------------
@@ -397,10 +525,6 @@ def test_factor_rounding_is_counted_after_pivot_row_growth():
 # the product of an exact rational matrix and a ball matrix
 # ---------------------------------------------------------------------------
 
-def exact(x) -> Fraction:
-    return RealBall(x).exact_fraction()
-
-
 def fits(q: Fraction) -> bool:
     """q is a binary fraction with at most mp.prec significant bits."""
     n, d = q.numerator, q.denominator
@@ -433,10 +557,10 @@ def _random_rationals(rng, rows, cols):
 def assert_encloses(out: RealBall, qs, xs):
     """out holds sum_t q_t x_t for every x_t in the ball xs[t], is at most a
     few ulp wider than that set, and is exact iff the exact sum fits."""
-    center = sum((q * exact(x.mid) for q, x in zip(qs, xs)), Fraction(0))
-    spread = sum((abs(q) * exact(x.rad) for q, x in zip(qs, xs)), Fraction(0))
-    rad = exact(out.rad)
-    assert abs(exact(out.mid) - center) + spread <= rad
+    center = sum((q * fraction(x.mid) for q, x in zip(qs, xs)), Fraction(0))
+    spread = sum((abs(q) * fraction(x.rad) for q, x in zip(qs, xs)), Fraction(0))
+    rad = fraction(out.rad)
+    assert abs(fraction(out.mid) - center) + spread <= rad
     assert rad <= spread + Fraction(4, 2 ** mp.prec) * (abs(center) + spread)
     if spread == 0:
         assert (rad == 0) == fits(center)
@@ -480,7 +604,7 @@ def test_rational_product_of_exact_data():
     assert z[0][0].re.rad == 0 and z[1][0].re.rad > 0
     z = rational_ball_mul([[Fraction(1, 3)]], [[ComplexBall.one()]])[0][0]
     assert z.re.rad > 0 and z.im.is_exact()
-    assert abs(exact(z.re.mid) - Fraction(1, 3)) <= exact(z.re.rad)
+    assert encloses(z.re, Fraction(1, 3))
 
 
 def test_rational_product_empty_shapes():

@@ -55,6 +55,18 @@ def test_elliptic_document_inverse_period_pinned():
             "0.38137988175090659403116299048180789664631461867404"
 
 
+@pytest.mark.parametrize("name", ["trivial", "tate:1", "elliptic:square"])
+def test_example_heights_ignore_the_callers_mp_prec(name):
+    # balls take their precision from current_bits(), so mp.prec left at
+    # any value outside working_precision changes neither mid nor rad
+    seen = set()
+    for prec in (53, 158, 400):
+        mp.prec = prec
+        h = height(parse_motive(example_document(name))).h
+        seen.add((h.mid._mpf_, h.rad._mpf_))
+    assert len(seen) == 1
+
+
 def test_unknown_example_rejected():
     with pytest.raises(DocumentError):
         example_document("elliptic:rectangular")

@@ -311,7 +311,7 @@ def test_rank_nullity_across_sequence(rng):
         m = random_fl_module(rng, p)
         b0 = m.filtration_matrix(0)
         image = (QMatrix.identity(m.n) - m.phi) @ b0
-        image_rank = image.rank()
+        image_rank = hnf_rational(image).cols  # the form drops zero columns
         assert h0(m).cols + image_rank == b0.cols
         free, torsion = h1cf(m)
         assert free == m.n - image_rank

@@ -233,7 +233,7 @@ def test_metric_homogeneity(rng):
         c = Fraction(rng.randint(1, 9), rng.randint(1, 9))
         scaled = line_metric(h, c)
         base = line_metric(h)
-        expected = RealBall.from_fraction(c) * base
+        expected = RealBall(c) * base
         assert scaled.overlaps(expected)
 
 

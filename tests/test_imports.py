@@ -1,11 +1,15 @@
 """Every name a library module imports is read somewhere in that module,
-and no library module reaches into another's private names.
+no library module reaches into another's private names, and none reads
+mpmath's global precision.
 
 No linter ships with the project, so these AST scans stand in for one.  In
 the unused-import scan ``__init__.py`` (which re-exports) and
 ``from __future__`` imports are exempt.  The private-name scan covers every
 module: an underscore-prefixed name imported from another library module,
 or read as an attribute of one, is a helper that belongs next to its caller.
+The precision scan keeps results independent of a caller's ``mp.prec``:
+balls take their precision from ``current_bits()``, and only
+``working_precision`` reads ``mp.prec``, to restore it on exit.
 """
 
 import ast
@@ -89,3 +93,38 @@ def test_scan_finds_private_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_private_imports(path):
     assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def precision_reads(source: str) -> list[str]:
+    """Reads of ``mp.prec`` or ``mp.dps``, each named by its outermost
+    enclosing function or class (``<module>`` at the top level)."""
+    found = []
+    for top in ast.parse(source).body:
+        scope = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Attribute) and node.attr in ("prec", "dps")
+                    and isinstance(node.ctx, ast.Load)
+                    and (isinstance(node.value, ast.Name) and node.value.id == "mp"
+                         or isinstance(node.value, ast.Attribute) and node.value.attr == "mp")):
+                found.append(f"{scope} (line {node.lineno})")
+    return sorted(found)
+
+
+def test_scan_finds_precision_reads():
+    src = ("import mpmath\nfrom mpmath import mp\n"
+           "mp.prec = 53\n"
+           "def f():\n    return mp.prec + mp.dps\n"
+           "class C:\n    def g(self):\n        self.saved = mpmath.mp.prec\n"
+           "print(mp.prec, fp.prec)\n")
+    assert precision_reads(src) == ["<module> (line 9)", "C (line 8)",
+                                    "f (line 5)", "f (line 5)"]
+
+
+PRECISION_READERS = {"balls.py": ("working_precision",)}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_precision_reads(path):
+    allowed = PRECISION_READERS.get(path.name, ())
+    reads = precision_reads(path.read_text(encoding="utf-8"))
+    assert [r for r in reads if r.split()[0] not in allowed] == []

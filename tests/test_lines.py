@@ -18,6 +18,16 @@ from motive_height.rational import QMatrix, hnf_rational
 from conftest import random_unimodular
 
 
+def test_basis_inverse_is_computed_once(monkeypatch):
+    # quotient specs and sublattice motives all read D's basis inverse
+    lattice = Lattice(QMatrix([[2, 0], [1, 3]]))
+    calls, inverse = [], QMatrix.inverse
+    monkeypatch.setattr(QMatrix, "inverse", lambda m: calls.append(m) or inverse(m))
+    assert lattice.basis @ lattice.basis_inverse() == QMatrix.identity(2)
+    assert lattice.basis_inverse() is lattice.basis_inverse()
+    assert len(calls) == 1
+
+
 def test_quotient_valuation_equal_lattices():
     l = Lattice.standard(3)
     assert quotient_lattice_valuation(l, l, 5) == 0
@@ -84,22 +94,22 @@ def test_intersect_adelic_additive(rng):
 
 
 def test_line_tensor_exponent_zero_is_trivial():
-    line = MetrizedLine("A", Fraction(2), RealBall.exact_int(3))
+    line = MetrizedLine("A", Fraction(2), RealBall(3))
     out = line_tensor([(line, 0)])
     assert out.lattice_scalar == 1
     assert out.metric().mid == 1 and out.metric().is_exact()
 
 
 def test_line_tensor_square():
-    line = MetrizedLine("A", Fraction(2), RealBall.exact_int(3))
+    line = MetrizedLine("A", Fraction(2), RealBall(3))
     out = line_tensor([(line, 2)])
     assert out.lattice_scalar == 4
     assert out.metric().mid == 9
 
 
 def test_line_tensor_mixed_exponents():
-    a = MetrizedLine("A", Fraction(8, 5), RealBall.exact_int(1))
-    b = MetrizedLine("B", Fraction(2), RealBall.exact_int(1))
+    a = MetrizedLine("A", Fraction(8, 5), RealBall(1))
+    b = MetrizedLine("B", Fraction(2), RealBall(1))
     out = line_tensor([(a, -1), (b, 1)])
     assert out.lattice_scalar == Fraction(5, 4)
 
@@ -118,7 +128,7 @@ def test_line_tensor_associative_commutative(rng):
     for _ in range(20):
         lines = [MetrizedLine(f"L{i}",
                               Fraction(rng.randint(1, 9), rng.randint(1, 9)),
-                              RealBall.from_fraction(Fraction(rng.randint(1, 9), rng.randint(1, 9))))
+                              RealBall(Fraction(rng.randint(1, 9), rng.randint(1, 9))))
                  for i in range(3)]
         exps = [rng.randint(-2, 2) for _ in range(3)]
         forward = line_tensor(list(zip(lines, exps)))
