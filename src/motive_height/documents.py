@@ -47,21 +47,43 @@ def load_document(text: str | bytes) -> dict:
     return doc
 
 
-def _fraction(s, where: str) -> Fraction:
+def _is_decimal_integer(s: str) -> bool:
+    digits = s[1:] if s[:1] in ("+", "-") else s
+    return digits.isascii() and digits.isdigit()
+
+
+def _int(x, where: str) -> int:
+    """A JSON integer (not a boolean) or a decimal integer string."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    if isinstance(x, str) and _is_decimal_integer(x):
+        return int(x)
+    raise DocumentError(f"{where}: expected an integer, got {x!r}")
+
+
+def _rational(s, where: str) -> int | Fraction:
+    """An exact field: a rational string or a JSON integer.  Integer strings
+    skip Fraction's parser."""
     if isinstance(s, str):
+        if _is_decimal_integer(s):
+            return int(s)
         try:
             return Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:
             raise DocumentError(f"{where}: bad rational {s!r} ({exc})")
-    if isinstance(s, int):
-        return Fraction(s)
+    if isinstance(s, int) and not isinstance(s, bool):
+        return s
     raise DocumentError(f"{where}: exact fields must be strings, got {type(s).__name__}")
+
+
+def _fraction(s, where: str) -> Fraction:
+    return Fraction(_rational(s, where))
 
 
 def _qmatrix(rows, where: str, shape: tuple[int, int] | None = None) -> QMatrix:
     if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
         raise DocumentError(f"{where}: expected a list of rows")
-    m = QMatrix([[_fraction(x, where) for x in row] for row in rows]) \
+    m = QMatrix([[_rational(x, where) for x in row] for row in rows]) \
         if rows and rows[0] else QMatrix.zeros(len(rows), 0)
     if shape is not None and (m.rows, m.cols) != shape:
         raise DocumentError(f"{where}: expected shape {shape}, got {(m.rows, m.cols)}")
@@ -73,15 +95,13 @@ def _period_entry(entry, where: str) -> ComplexBall:
         return ComplexBall.from_rationals(_fraction(entry, where))
     if isinstance(entry, dict):
         if "tpi" in entry:
-            k = entry["tpi"]
-            if not isinstance(k, int):
-                raise DocumentError(f"{where}: tpi exponent must be an integer")
+            k = _int(entry["tpi"], f"{where}.tpi")
             scale = _fraction(entry.get("scale", "1"), where)
             return ComplexBall.tpi_power(k, scale)
         if "re" in entry or "im" in entry:
             digits = entry.get("digits")
-            if digits is not None and not isinstance(digits, int):
-                raise DocumentError(f"{where}: digits must be an integer")
+            if digits is not None:
+                digits = _int(digits, f"{where}.digits")
             re = entry.get("re", "0")
             im = entry.get("im", "0")
             if not isinstance(re, str) or not isinstance(im, str):
@@ -97,13 +117,7 @@ def _period_entry(entry, where: str) -> ComplexBall:
 def _int_keyed(mapping, where: str) -> dict[int, int]:
     if not isinstance(mapping, dict):
         raise DocumentError(f"{where}: expected an object")
-    out = {}
-    for k, v in mapping.items():
-        try:
-            out[int(k)] = int(v)
-        except (TypeError, ValueError):
-            raise DocumentError(f"{where}: bad entry {k!r}: {v!r}")
-    return out
+    return {_int(k, where): _int(v, f"{where}[{k}]") for k, v in mapping.items()}
 
 
 def parse_motive(doc: Mapping[str, Any]) -> MotiveData:
@@ -113,17 +127,20 @@ def parse_motive(doc: Mapping[str, Any]) -> MotiveData:
     if not isinstance(tspec, dict):
         raise DocumentError("missing type object")
     try:
-        weight = int(tspec["weight"])
+        weight = _int(tspec["weight"], "type.weight")
         numbers = _int_keyed(tspec.get("hodge_numbers", {}), "type.hodge_numbers")
         window = tspec.get("window")
-        window = (int(window[0]), int(window[1])) if window is not None else None
+        if window is not None:
+            if not isinstance(window, list) or len(window) != 2:
+                raise DocumentError(f"type.window: expected [a, b], got {window!r}")
+            window = (_int(window[0], "type.window"), _int(window[1], "type.window"))
         mtype = MotiveType.of(weight, numbers, window)
     except (KeyError, ValueError, TypeError) as exc:
         raise DocumentError(f"bad type object: {exc}")
     n = mtype.rank
 
     betti = doc.get("betti", {})
-    if betti and int(betti.get("rank", n)) != n:
+    if betti and _int(betti.get("rank", n), "betti.rank") != n:
         raise DocumentError(f"betti.rank {betti.get('rank')} != type rank {n}")
     dr = doc.get("dr", {})
     declared = dr.get("filtration_dims")
@@ -144,14 +161,14 @@ def parse_motive(doc: Mapping[str, Any]) -> MotiveData:
     for entry in doc.get("local", []):
         if not isinstance(entry, dict) or "p" not in entry:
             raise DocumentError("each local entry needs a prime p")
-        p = int(entry["p"])
+        p = _int(entry["p"], "local.p")
         where = f"local[p={p}]"
         if ("fl" in entry) == ("override" in entry):
             raise DocumentError(f"{where}: exactly one of fl/override required")
         if "override" in entry:
+            values = _int_keyed(entry["override"], where)
             try:
-                local[p] = LocalLatticeSpec.from_map(
-                    p, mtype.window, _int_keyed(entry["override"], where))
+                local[p] = LocalLatticeSpec.from_map(p, mtype.window, values)
             except ValueError as exc:
                 raise DocumentError(f"{where}: {exc}")
         else:
@@ -161,8 +178,8 @@ def parse_motive(doc: Mapping[str, Any]) -> MotiveData:
     if not isinstance(bad, list):
         raise DocumentError("bad_primes must be a list")
     label = str(doc.get("metadata", {}).get("id", "M"))
-    return MotiveData(mtype, period, local, bad_primes=[int(p) for p in bad],
-                      label=label)
+    return MotiveData(mtype, period, local,
+                      bad_primes=[_int(p, "bad_primes") for p in bad], label=label)
 
 
 def _parse_fl(spec, p: int, mtype: MotiveType, where: str) -> FilPhiModule:
@@ -175,7 +192,9 @@ def _parse_fl(spec, p: int, mtype: MotiveType, where: str) -> FilPhiModule:
         lattice = _qmatrix(spec["lattice"], f"{where}.lattice", (n, n))
         fil = {}
         for step in spec.get("filtration", []):
-            i = int(step["i"])
+            if not isinstance(step, dict):
+                raise DocumentError(f"{where}.filtration: each step must be an object")
+            i = _int(step["i"], f"{where}.filtration.i")
             k = mtype.filtration_dim(i)
             fil[i] = _qmatrix(step["basis"], f"{where}.filtration[i={i}]", (n, k))
     except KeyError as exc:
@@ -189,10 +208,10 @@ def _parse_fl(spec, p: int, mtype: MotiveType, where: str) -> FilPhiModule:
 
 def parse_quotient_spec(doc: Mapping[str, Any], m: MotiveData) -> QuotientSpec:
     try:
-        p = int(doc["p"])
-        k = int(doc["k"])
-        exponent = int(doc.get("exponent", 1))
-    except (KeyError, ValueError, TypeError) as exc:
+        p = _int(doc["p"], "p")
+        k = _int(doc["k"], "k")
+        exponent = _int(doc.get("exponent", 1), "exponent")
+    except KeyError as exc:
         raise DocumentError(f"bad quotient spec: {exc}")
     n = m.rank
     a, b = m.window
@@ -201,8 +220,10 @@ def parse_quotient_spec(doc: Mapping[str, Any], m: MotiveData) -> QuotientSpec:
     phi_u = _qmatrix(doc.get("phi_u"), "phi_u", (k, k))
     fil_u = []
     for step in doc.get("filtration_u", []):
-        i = int(step["i"])
-        fil_u.append((i, _qmatrix(step["basis"], f"filtration_u[i={i}]")))
+        if not isinstance(step, dict) or "i" not in step:
+            raise DocumentError("filtration_u: each step must be an object with i")
+        i = _int(step["i"], "filtration_u.i")
+        fil_u.append((i, _qmatrix(step.get("basis"), f"filtration_u[i={i}]")))
     return QuotientSpec(p, k, q_dr, q_betti, phi_u, tuple(fil_u), exponent)
 
 

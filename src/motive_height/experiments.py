@@ -24,7 +24,7 @@ from .balls import RealBall, rational_ball_mul
 from .fl import FilPhiModule
 from .lines import Lattice
 from .motive import HeightReport, MotiveData, MotiveType, height, validate
-from .rational import QMatrix, hnf_rational, integer_kernel, is_p_integral, smith_normal_form
+from .rational import QMatrix, hnf_rational, integer_kernel, smith_normal_form
 
 
 class IncompatibleSpec(ValueError):
@@ -124,11 +124,10 @@ def full_quotient_spec(m: MotiveData, p: int, exponent: int = 1) -> QuotientSpec
         raise IncompatibleSpec(f"no filtered module at p={p}")
     n = m.rank
     binv = fl.lattice.basis_inverse()
-    phi_d = binv @ fl.phi @ fl.lattice.basis
     a, b = m.window
     fil_u = tuple((i, binv @ fl.filtration_matrix(i)) for i in range(a + 1, b))
     return QuotientSpec(p, n, QMatrix.identity(n), QMatrix.identity(n),
-                        phi_d, fil_u, exponent)
+                        fl.phi_in_basis(), fil_u, exponent)
 
 
 def _coords_in(basis_matrix: QMatrix, cols: QMatrix) -> Optional[QMatrix]:
@@ -147,14 +146,13 @@ def _coords_in(basis_matrix: QMatrix, cols: QMatrix) -> Optional[QMatrix]:
 def _contained_at_p(basis_matrix: QMatrix, cols: QMatrix, p: int) -> bool:
     """``cols`` lie in the lattice spanned by ``basis_matrix``, localized at p."""
     coords = _coords_in(basis_matrix, cols)
-    return coords is not None and all(
-        is_p_integral(x, p) for row in coords.data for x in row)
+    return coords is not None and coords.is_p_integral(p)
 
 
 def _saturated_at_p(coords: QMatrix, p: int) -> bool:
     """The p-integral columns ``coords`` span a sublattice saturated at p: no
     nonzero Smith divisor is divisible by p."""
-    divisors, _, _ = smith_normal_form(coords.scale(coords.denominator_lcm()))
+    divisors, _, _ = smith_normal_form(coords.numerators())
     return not any(d and d % p == 0 for d in divisors)
 
 
@@ -187,11 +185,10 @@ def validate_spec(m: MotiveData, spec: QuotientSpec) -> None:
     if any(d % p == 0 for d in divisors):
         raise IncompatibleSpec("q_dr is not surjective at p")
     # Frobenius compatibility in D-coordinates, exactly
-    binv = fl.lattice.basis_inverse()
-    phi_d = binv @ fl.phi @ fl.lattice.basis
-    if spec.phi_u @ spec.q_dr != spec.q_dr @ phi_d:
+    if spec.phi_u @ spec.q_dr != spec.q_dr @ fl.phi_in_basis():
         raise IncompatibleSpec("phi_U does not intertwine q_dr with phi")
     # filtration: q maps D^i onto U^i at p, and U^i is saturated
+    binv = fl.lattice.basis_inverse()
     for i in range(a + 1, b):
         u_i = spec.u_filtration_matrix(i, (a, b))
         if not u_i.is_integer():
@@ -268,7 +265,7 @@ def sublattice_motive(m: MotiveData, spec: QuotientSpec,
         target = u_i.scale(q)
         stacked = w_map.hstack(target.scale(-1))
         ker = integer_kernel(stacked)
-        coeff = QMatrix([ker.data[t] for t in range(fil_i.cols)])
+        coeff = ker.block(slice(fil_i.cols))
         new_fil[i] = fil_i @ coeff
     try:
         new_fl = FilPhiModule(p, new_lattice, fl.phi, new_fil, (a, b))

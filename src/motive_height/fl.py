@@ -28,8 +28,8 @@ from typing import Mapping, Sequence
 from .lines import Lattice
 from .rational import (
     QMatrix,
+    diagonal_valuations,
     integer_kernel,
-    is_p_integral,
     is_prime,
     smith_normal_form,
     vp,
@@ -51,7 +51,7 @@ class FilPhiModule:
     ``motive.validate`` reaches it through ``MotiveData.local_spec``.
     """
 
-    __slots__ = ("p", "n", "lattice", "phi", "phi_det", "window", "_fil")
+    __slots__ = ("p", "n", "lattice", "phi", "phi_det", "window", "_fil", "_phi_d")
 
     def __init__(self, p: int, lattice: Lattice, phi: QMatrix,
                  filtration: Mapping[int, QMatrix], window: tuple[int, int]):
@@ -67,6 +67,7 @@ class FilPhiModule:
         self.n = lattice.n
         self.lattice = lattice
         self.phi = phi
+        self._phi_d = None
         self.window = (a, b)
         if phi.rows != self.n or phi.cols != self.n:
             raise ValueError("phi shape mismatch")
@@ -105,18 +106,17 @@ class FilPhiModule:
             if k > prev_rank:
                 raise ValueError(f"filtration ranks increase at step {i}")
             # adapted span: only the trailing k coordinates may appear
-            for row in range(n - k):
-                if any(m[row, j] != 0 for j in range(k)):
-                    raise ValueError(
-                        f"D^{i} is not adapted: spans more than the last {k} "
-                        f"reference coordinates")
+            if any(any(row) for row in m.num[:n - k]):
+                raise ValueError(
+                    f"D^{i} is not adapted: spans more than the last {k} "
+                    f"reference coordinates")
             # D ∩ span(D^i) at p is spanned by the last k Hermite columns of
             # D: their bottom block T must carry the bottom rows of D^i by a
             # p-integral X with det X a p-unit (the steps then nest)
-            t = QMatrix([row[n - k:] for row in basis.data[n - k:]])
-            x = t.solve(QMatrix(m.data[n - k:]))
+            bottom = slice(n - k, None)
+            x = basis.block(bottom, bottom).solve(m.block(bottom))
             d = x.det()
-            if not (_all_p_integral(x, p) and d and vp(d, p) == 0):
+            if not (x.is_p_integral(p) and d and vp(d, p) == 0):
                 raise ValueError(
                     f"D^{i} is not D ∩ span of the last {k} reference "
                     f"coordinates at p = {p}")
@@ -131,6 +131,14 @@ class FilPhiModule:
         if i >= b:
             return QMatrix.zeros(self.n, 0)
         return self._fil[i]
+
+    def phi_in_basis(self) -> QMatrix:
+        """phi_D = B^-1 phi B, phi in D's Hermite basis B; computed on first
+        use and kept."""
+        if self._phi_d is None:
+            basis = self.lattice.basis
+            self._phi_d = basis.solve(self.phi @ basis)
+        return self._phi_d
 
     def filtration_rank(self, i: int) -> int:
         return self.filtration_matrix(i).cols
@@ -150,10 +158,6 @@ class FilPhiModule:
     def __repr__(self):
         return (f"FilPhiModule(p={self.p}, n={self.n}, "
                 f"window={self.window})")
-
-
-def _all_p_integral(m: QMatrix, p: int) -> bool:
-    return all(is_p_integral(x, p) for row in m.data for x in row)
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +201,12 @@ def check_strong_divisibility(m: FilPhiModule) -> StrongDivisibilityReport:
     phi_D has valuation >= l_j, and v_p(det phi) = sum_j l_j.
     """
     p, levels = m.p, m.coordinate_levels()
-    basis = m.lattice.basis
+    phi_d = m.phi_in_basis()
+    # with phi_D = num / den: p^(l_j + v_p(den)) divides column j of num
+    v_den = vp_int(phi_d.den, p)
+    moduli = [p ** max(level + v_den, 0) for level in levels]
     ok = vp(m.phi_det, p) == sum(levels) and all(
-        x == 0 or vp(x, p) >= level
-        for row in basis.solve(m.phi @ basis).data
-        for x, level in zip(row, levels))
+        x % q == 0 for row in phi_d.num for x, q in zip(row, moduli))
     return StrongDivisibilityReport(ok, module=m)
 
 
@@ -242,12 +247,10 @@ def h1cf(m: FilPhiModule) -> tuple[int, tuple[int, ...]]:
     one_minus_phi = QMatrix.identity(m.n) - m.phi
     image = one_minus_phi @ b0
     coords = m.lattice.basis.solve(image)
-    if not _all_p_integral(coords, p):
+    if not coords.is_p_integral(p):
         raise ValueError("(1 - phi) D^0 escapes D at p: inconsistent module")
-    scale = coords.denominator_lcm()
-    if scale % p == 0:
-        raise AssertionError("denominator lcm not prime to p")
-    divisors, _, _ = smith_normal_form(coords.scale(scale))
+    # the denominator is a p-unit, so the numerators have the same p-torsion
+    divisors, _, _ = smith_normal_form(coords.numerators())
     nonzero = [d for d in divisors if d]
     free_rank = m.n - len(nonzero)
     torsion = tuple(p ** vp_int(d, p) for d in nonzero if d % p == 0)
@@ -307,7 +310,7 @@ def local_valuations(m: FilPhiModule) -> LocalLatticeSpec:
         raise ValueError(f"strong divisibility fails "
                          f"(lattice sum has basis {report.witness.basis.data})")
     a, b = m.window
-    diag = [vp(m.lattice.basis[j, j], m.p) for j in range(m.n)]
+    diag = diagonal_valuations(m.lattice.basis, m.p)
     values = {r: sum(diag[:m.n - m.filtration_rank(r)]) for r in range(a, b + 1)}
     return LocalLatticeSpec(m.p, (a, b), tuple(sorted(values.items())),
                             "computed-from-FL")

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .balls import RealBall
-from .rational import QMatrix, hnf_rational, is_p_integral, is_prime, vp
+from .rational import QMatrix, diagonal_valuations, hnf_rational, is_prime
 
 
 class NotSublattice(ValueError):
@@ -74,13 +74,9 @@ def quotient_lattice_valuation(outer: Lattice, inner: Lattice, p: int) -> int:
         raise ValueError(f"{p} is not prime")
     if outer.n != inner.n:
         raise ValueError("ambient dimension mismatch")
-    for row in outer.basis.solve(inner.basis).data:
-        for x in row:
-            if not is_p_integral(x, p):
-                raise NotSublattice(
-                    f"inner lattice escapes the outer one at p={p}")
-    return sum(vp(inner.basis[j, j], p) - vp(outer.basis[j, j], p)
-               for j in range(outer.n))
+    if not outer.basis.solve(inner.basis).is_p_integral(p):
+        raise NotSublattice(f"inner lattice escapes the outer one at p={p}")
+    return sum(diagonal_valuations(inner.basis, p)) - sum(diagonal_valuations(outer.basis, p))
 
 
 class ValuationMap:

@@ -1,54 +1,78 @@
-"""Exact linear algebra over Q: matrices of Fractions, Smith and Hermite
-normal forms, integer kernels, and p-adic valuations.
+"""Exact linear algebra over Q: integer matrices over one denominator, Smith
+and Hermite normal forms, integer kernels, and p-adic valuations.
 
-Everything here is exact; no floating point enters.  Sizes in this package
-stay small (<= ~20x20), so the classical elimination algorithms are used
-without modular tricks.
+A ``QMatrix`` holds its entries as a tuple of integer rows ``num`` over one
+positive denominator ``den``, kept in lowest terms: gcd(den, every entry of
+num) = 1.  So ``den`` is the lcm of the entry denominators, equal matrices
+have equal (num, den), and integrality at p is ``den % p != 0``.
+Determinants and solves use Bareiss's fraction-free elimination (Math. Comp.
+22, 1968): every division in it is exact, so the whole computation stays in
+Python integers.  Sizes in this package stay small (<= ~20x20), so no
+modular tricks are used.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _rational(x):
+    if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"matrix entries must be exact rationals, got {type(x).__name__}")
 
 
 class QMatrix:
-    """Immutable matrix with exact rational entries."""
+    """Immutable matrix with exact rational entries: integer rows ``num``
+    over the positive denominator ``den``, in lowest terms."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "num", "den")
 
     def __init__(self, data: Iterable[Iterable]):
-        self.data = tuple(tuple(_frac(x) for x in row) for row in data)
-        self.rows = len(self.data)
-        self.cols = len(self.data[0]) if self.rows else 0
-        if any(len(r) != self.cols for r in self.data):
+        rows = [list(map(_rational, row)) for row in data]
+        self.rows = len(rows)
+        self.cols = len(rows[0]) if rows else 0
+        if any(len(r) != self.cols for r in rows):
             raise ValueError("ragged matrix")
+        # den is the lcm of the reduced entry denominators: lowest terms
+        self.den = d = lcm(*[x.denominator for r in rows for x in r])
+        self.num = tuple([tuple(map(int, r)) if d == 1 else
+                          tuple([x.numerator * (d // x.denominator) for x in r])
+                          for r in rows])
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._make(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1, n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "QMatrix":
-        return cls([[0] * cols for _ in range(rows)]) if rows else cls._make((), cols)
+        return cls._make(((0,) * cols,) * rows, 1, cols)
 
     @classmethod
-    def _make(cls, data: tuple, cols: int) -> "QMatrix":
-        """The matrix of rows of Fractions ``data``, unchecked; ``cols``
-        keeps the shape of rows of length 0."""
+    def _make(cls, num: tuple, den: int, cols: int) -> "QMatrix":
+        """The matrix num / den, unchecked: the caller guarantees lowest
+        terms; ``cols`` keeps the shape of rows of length 0."""
         m = cls.__new__(cls)
-        m.data, m.rows, m.cols = data, len(data), cols
+        m.num, m.den, m.rows, m.cols = num, den, len(num), cols
         return m
+
+    @classmethod
+    def _reduced(cls, num: tuple, den: int, cols: int) -> "QMatrix":
+        """The matrix num / den for a positive den, brought to lowest terms."""
+        g = den
+        for r in num:
+            if g == 1:
+                break
+            g = gcd(g, *r)
+        if g != 1:
+            num = tuple([tuple([x // g for x in r]) for r in num])
+            den //= g
+        return cls._make(num, den, cols)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], rows: int | None = None) -> "QMatrix":
@@ -57,119 +81,153 @@ class QMatrix:
         if n is None:
             raise ValueError("need explicit row count for an empty column list")
         if n == 0 or not columns:
-            return cls._make(((),) * n, len(columns))
+            return cls.zeros(n, len(columns))
         return cls([[c[i] for c in columns] for i in range(n)])
+
+    @property
+    def data(self) -> tuple:
+        """The entries as rows of Fractions, built on each read."""
+        d = self.den
+        return tuple(tuple(Fraction(x, d) for x in r) for r in self.num)
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.data[i][j]
+        return Fraction(self.num[i][j], self.den)
 
     def __eq__(self, other):
-        return isinstance(other, QMatrix) and self.data == other.data \
-            and self.rows == other.rows and self.cols == other.cols
+        return isinstance(other, QMatrix) and self.num == other.num \
+            and self.den == other.den and self.rows == other.rows and self.cols == other.cols
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
+        return hash((self.rows, self.cols, self.num, self.den))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
         return f"QMatrix[{self.rows}x{self.cols}: {body}]"
 
     def column(self, j: int) -> tuple:
-        return tuple(self.data[i][j] for i in range(self.rows))
+        return tuple(Fraction(r[j], self.den) for r in self.num)
 
     def columns(self) -> list:
         return [self.column(j) for j in range(self.cols)]
 
+    def block(self, rows: slice = slice(None), cols: slice = slice(None)) -> "QMatrix":
+        """The submatrix on the given row and column slices."""
+        width = len(range(*cols.indices(self.cols)))
+        return QMatrix._reduced(tuple(r[cols] for r in self.num[rows]), self.den, width)
+
+    def numerators(self) -> "QMatrix":
+        """The integer matrix den * self."""
+        return QMatrix._make(self.num, 1, self.cols)
+
     def transpose(self) -> "QMatrix":
-        return QMatrix.from_columns(self.data, rows=self.cols)
+        num = tuple(zip(*self.num)) if self.rows else ((),) * self.cols
+        return QMatrix._make(num, self.den, self.rows)
 
     def hstack(self, other: "QMatrix") -> "QMatrix":
         assert self.rows == other.rows
-        return QMatrix.from_columns(self.columns() + other.columns(), rows=self.rows)
+        d = lcm(self.den, other.den)
+        fa, fb = d // self.den, d // other.den
+        # d is the lcm of every entry denominator: lowest terms
+        return QMatrix._make(tuple(tuple(fa * x for x in ra) + tuple(fb * x for x in rb)
+                                   for ra, rb in zip(self.num, other.num)),
+                             d, self.cols + other.cols)
 
     def scale(self, c) -> "QMatrix":
-        c = _frac(c)
-        return QMatrix._make(tuple(tuple(x * c for x in row) for row in self.data), self.cols)
+        c = _rational(c)
+        k = c.numerator
+        return QMatrix._reduced(tuple(tuple(k * x for x in r) for r in self.num),
+                                self.den * c.denominator, self.cols)
 
     def __add__(self, other):
         assert (self.rows, self.cols) == (other.rows, other.cols)
-        return QMatrix._make(tuple(tuple(a + b for a, b in zip(ra, rb))
-                                   for ra, rb in zip(self.data, other.data)), self.cols)
+        d = lcm(self.den, other.den)
+        fa, fb = d // self.den, d // other.den
+        return QMatrix._reduced(tuple(tuple(fa * a + fb * b for a, b in zip(ra, rb))
+                                      for ra, rb in zip(self.num, other.num)), d, self.cols)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         assert self.cols == other.rows, "shape mismatch"
-        zero, out = Fraction(0), []
-        for row in self.data:
-            acc = [zero] * other.cols
-            for x, other_row in zip(row, other.data):
-                if x:
-                    for j, y in enumerate(other_row):
-                        if y:
-                            acc[j] += x * y
-            out.append(tuple(acc))
-        return QMatrix._make(tuple(out), other.cols)
+        if not self.cols:
+            return QMatrix.zeros(self.rows, other.cols)
+        right = list(zip(*other.num))
+        return QMatrix._reduced(tuple([tuple([sum(map(mul, r, c)) for c in right])
+                                       for r in self.num]),
+                                self.den * other.den, other.cols)
 
     def is_integer(self) -> bool:
-        return all(x.denominator == 1 for row in self.data for x in row)
+        return self.den == 1
 
-    def denominator_lcm(self) -> int:
-        from math import lcm
-        d = 1
-        for row in self.data:
-            for x in row:
-                d = lcm(d, x.denominator)
-        return d
+    def is_p_integral(self, p: int) -> bool:
+        return self.den % p != 0
 
-    # ---- elimination-based operations ----
+    # ---- fraction-free elimination ----
 
     def det(self) -> Fraction:
+        """Bareiss elimination on num: each step's pivot divides the next
+        step's 2x2 cross products exactly."""
         assert self.rows == self.cols, "determinant of a non-square matrix"
-        if self.rows == 0:
-            return Fraction(1)
-        work = [list(r) for r in self.data]
-        det = Fraction(1)
         n = self.rows
-        for k in range(n):
-            piv = next((i for i in range(k, n) if work[i][k] != 0), None)
+        a = [list(r) for r in self.num]
+        sign, prev = 1, 1
+        for k in range(n - 1):
+            piv = next((i for i in range(k, n) if a[i][k]), None)
             if piv is None:
                 return Fraction(0)
             if piv != k:
-                work[k], work[piv] = work[piv], work[k]
-                det = -det
-            det *= work[k][k]
-            inv = 1 / work[k][k]
+                a[k], a[piv] = a[piv], a[k]
+                sign = -sign
+            rk = a[k]
+            pk = rk[k]
             for i in range(k + 1, n):
-                f = work[i][k] * inv
-                if f:
-                    for j in range(k, n):
-                        work[i][j] -= f * work[k][j]
-        return det
+                f = a[i][k]
+                a[i] = [(pk * x - f * y) // prev for x, y in zip(a[i], rk)]
+            prev = pk
+        return Fraction(sign * a[n - 1][n - 1], self.den ** n) if n else Fraction(1)
 
     def inverse(self) -> "QMatrix":
         return self.solve(QMatrix.identity(self.rows))
 
     def solve(self, rhs: "QMatrix") -> "QMatrix":
-        """Solve self @ X = rhs for square invertible self."""
+        """Solve self @ X = rhs for square invertible self.
+
+        Fraction-free Gauss-Jordan on [num | rhs.num]: once the leading k x k
+        block A_k has been eliminated, every row is det A_k times its value in
+        ordinary Gauss-Jordan, an integer (a minor, by Sylvester's identity).
+        So each update divides exactly by the previous pivot, and the last
+        pivot d = ±det num leaves [d I | d num^-1 rhs.num].
+        """
         assert self.rows == self.cols == rhs.rows
         n, m = self.rows, rhs.cols
-        aug = [list(self.data[i]) + list(rhs.data[i]) for i in range(n)]
+        if n == 0:
+            return QMatrix.zeros(0, m)
+        a = [list(ra) + list(rb) for ra, rb in zip(self.num, rhs.num)]
+        prev = 1
         for k in range(n):
-            piv = next((i for i in range(k, n) if aug[i][k] != 0), None)
+            piv = next((i for i in range(k, n) if a[i][k]), None)
             if piv is None:
                 raise ZeroDivisionError("singular matrix")
             if piv != k:
-                aug[k], aug[piv] = aug[piv], aug[k]
-            inv = 1 / aug[k][k]
-            aug[k] = [x * inv for x in aug[k]]
+                a[k], a[piv] = a[piv], a[k]
+            rk = a[k]
+            pk = rk[k]
             for i in range(n):
-                if i != k and aug[i][k]:
-                    f = aug[i][k]
-                    aug[i] = [a - f * b for a, b in zip(aug[i], aug[k])]
-        return QMatrix._make(tuple(tuple(row[n:]) for row in aug), m)
+                if i == k:
+                    continue
+                f = a[i][k]
+                if f:
+                    a[i] = [(pk * x - f * y) // prev for x, y in zip(a[i], rk)]
+                elif pk != prev:
+                    a[i] = [pk * x // prev for x in a[i]]
+            prev = pk
+        # X = (num/den)^-1 (rhs.num/rhs.den) = right block * den / (d rhs.den)
+        s = 1 if prev > 0 else -1
+        scale = s * self.den
+        return QMatrix._reduced(tuple(tuple(scale * x for x in r[n:]) for r in a),
+                                s * prev * rhs.den, m)
 
 
 # ---------------------------------------------------------------------------
@@ -188,12 +246,14 @@ def vp_int(n: int, p: int) -> int:
 
 def vp(q: Fraction, p: int) -> int:
     """p-adic valuation of a nonzero rational."""
-    q = _frac(q)
+    q = _rational(q)
     return vp_int(q.numerator, p) - vp_int(q.denominator, p)
 
 
-def is_p_integral(q: Fraction, p: int) -> bool:
-    return _frac(q).denominator % p != 0
+def diagonal_valuations(m: QMatrix, p: int) -> list[int]:
+    """v_p of each diagonal entry of a matrix with a nonzero diagonal."""
+    v_den = vp_int(m.den, p)
+    return [vp_int(m.num[j][j], p) - v_den for j in range(min(m.rows, m.cols))]
 
 
 def prime_factors(n: int) -> set[int]:
@@ -250,7 +310,7 @@ def smith_normal_form(m: QMatrix):
     """
     if not m.is_integer():
         raise ValueError("smith_normal_form requires integer entries")
-    a = [[int(x) for x in row] for row in m.data]
+    a = [list(row) for row in m.num]
     rows, cols = m.rows, m.cols
     U = [[int(i == j) for j in range(rows)] for i in range(rows)]
     V = [[int(i == j) for j in range(cols)] for i in range(cols)]
@@ -325,7 +385,8 @@ def smith_normal_form(m: QMatrix):
             negate_row(t)
 
     divisors = tuple(abs(a[i][i]) for i in range(k))
-    return divisors, QMatrix(U), QMatrix(V)
+    return (divisors, QMatrix._make(tuple(map(tuple, U)), 1, rows),
+            QMatrix._make(tuple(map(tuple, V)), 1, cols))
 
 
 # ---------------------------------------------------------------------------
@@ -343,12 +404,11 @@ def hnf_columns(m: QMatrix) -> QMatrix:
     """
     if not m.is_integer():
         raise ValueError("hnf_columns requires integer entries")
-    a = [[int(x) for x in row] for row in m.data]
+    if _is_square_hermite(m):
+        return m
+    a = [list(row) for row in m.num]
     rows = m.rows
     cols = m.cols
-
-    def col(j):
-        return [a[i][j] for i in range(rows)]
 
     pivot_col = 0
     for r in range(rows):
@@ -391,24 +451,32 @@ def hnf_columns(m: QMatrix) -> QMatrix:
     def pivot_row(j):
         return next(i for i in range(rows) if a[i][j] != 0)
     kept.sort(key=pivot_row)
-    return QMatrix.from_columns([col(j) for j in kept], rows=rows)
+    return QMatrix._make(tuple(tuple(r[j] for j in kept) for r in a), 1, len(kept))
+
+
+def _is_square_hermite(m: QMatrix) -> bool:
+    """m is square, lower triangular with a positive diagonal, and reduced
+    left of it: already its own column Hermite form."""
+    return m.rows == m.cols and all(
+        row[i] > 0 and not any(row[i + 1:]) and all(0 <= x < row[i] for x in row[:i])
+        for i, row in enumerate(m.num))
 
 
 def hnf_rational(m: QMatrix) -> QMatrix:
     """Canonical column form of the lattice generated by rational columns."""
     if m.cols == 0:
         return m
-    d = m.denominator_lcm()
-    h = hnf_columns(m.scale(d))
-    return h.scale(Fraction(1, d))
+    # column operations keep the gcd of the entries, so h / den stays in
+    # lowest terms
+    h = hnf_columns(m.numerators())
+    return QMatrix._make(h.num, m.den, h.cols)
 
 
 def integer_kernel(m: QMatrix) -> QMatrix:
     """Basis of { x in Z^cols : m @ x = 0 }; saturated by construction."""
-    d = m.denominator_lcm()
-    mi = m.scale(d)
-    divisors, _, V = smith_normal_form(mi)
-    k = min(mi.rows, mi.cols)
+    divisors, _, V = smith_normal_form(m.numerators())
+    k = min(m.rows, m.cols)
     null_cols = [j for j in range(k) if divisors[j] == 0]
-    null_cols += list(range(k, mi.cols))
-    return QMatrix.from_columns([V.column(j) for j in null_cols], rows=m.cols)
+    null_cols += list(range(k, m.cols))
+    return QMatrix._make(tuple(tuple(r[j] for j in null_cols) for r in V.num),
+                         1, len(null_cols))

@@ -261,6 +261,53 @@ def test_batch_reports_bad_documents_and_prints_every_good_row(capsys, tmp_path)
     assert run_cli(capsys, "batch", str(tmp_path), "--format", "rows")[0] == 1
 
 
+def _broken_elliptic(change):
+    doc = example_document("elliptic:square")
+    change(doc)
+    return doc
+
+
+def _set_local(index, key, value):
+    return lambda doc: doc["local"][index].__setitem__(key, value)
+
+
+# each malformed integer field of elliptic:square, with the message it gives
+MALFORMED_INTEGERS = {
+    "p-word": (_set_local(0, "p", "x"), "local.p: expected an integer, got 'x'"),
+    "p-list": (_set_local(0, "p", [3]), "local.p: expected an integer, got [3]"),
+    "p-float": (_set_local(0, "p", 3.9), "local.p: expected an integer, got 3.9"),
+    "i-word": (lambda doc: doc["local"][0]["fl"]["filtration"][0].__setitem__("i", "x"),
+               "local[p=3].filtration.i: expected an integer, got 'x'"),
+    "bad-prime-word": (lambda doc: doc.__setitem__("bad_primes", ["x"]),
+                       "bad_primes: expected an integer, got 'x'"),
+    "override-float": (_set_local(2, "override", {"0": 1.5}),
+                       "local[p=2][0]: expected an integer, got 1.5"),
+    "phi-bool": (lambda doc: doc["local"][0]["fl"]["phi"][0].__setitem__(1, True),
+                 "local[p=3].phi: exact fields must be strings, got bool"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_INTEGERS)
+def test_malformed_integer_fields_exit3(capsys, tmp_path, case):
+    change, message = MALFORMED_INTEGERS[case]
+    path = tmp_path / "bad.json"
+    path.write_bytes(canonical_bytes(_broken_elliptic(change)))
+    for command in ("validate", "height"):
+        assert run_cli(capsys, command, str(path)) == (3, "", f"malformed input: {message}\n")
+
+
+def test_batch_prints_good_rows_around_a_malformed_integer(capsys, tmp_path):
+    good = write_example(tmp_path, "elliptic:square", "a.json")
+    bad = tmp_path / "b.json"
+    bad.write_bytes(canonical_bytes(_broken_elliptic(_set_local(0, "p", "x"))))
+    for jobs in ("1", "2"):
+        code, out, err = run_cli(capsys, "batch", good, str(bad), good,
+                                 "--format", "rows", "--jobs", jobs)
+        assert code == 3
+        assert [row.split("\t")[0] for row in out.splitlines()] == ["elliptic:square"] * 2
+        assert err == f"{bad}: malformed input: local.p: expected an integer, got 'x'\n"
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "motive_height.cli", "example", "trivial"],

@@ -1,17 +1,24 @@
+import importlib
 import json
+import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from mpmath import mp, mpf
 
 from motive_height.documents import (
     DocumentError,
+    _parse_fl,
     canonical_bytes,
     example_document,
     load_document,
     parse_motive,
     parse_quotient_spec,
 )
-from motive_height.motive import InvalidMotive, height, tate_motive, validate
+from motive_height.fl import local_valuations
+from motive_height.motive import InvalidMotive, MotiveType, height, tate_motive, validate
+from motive_height.rational import QMatrix
 
 
 def test_canonical_bytes_stable():
@@ -133,3 +140,75 @@ def test_quotient_spec_parsing():
     rep = invariance_experiment(m, spec)
     assert rep.passed
     assert rep.lattice_ratio == Fraction(1, 4)
+
+
+def test_integer_fields_take_json_integers_and_decimal_strings():
+    doc = example_document("elliptic:square")
+    doc["type"]["weight"] = "-1"
+    doc["local"][0]["p"] = "3"
+    doc["bad_primes"] = ["2"]
+    m = parse_motive(doc)
+    assert sorted(m.local) == [2, 3, 5] and list(m.bad_primes) == [2]
+    for bad in ("3.0", "0x3", "", "³", True, 3.0, None):
+        doc = example_document("elliptic:square")
+        doc["local"][0]["p"] = bad
+        with pytest.raises(DocumentError, match="local.p: expected an integer"):
+            parse_motive(doc)
+    for field, value in (("weight", 1.0), ("weight", False), ("window", [-1, "1.5"]),
+                         ("window", [-1])):
+        doc = example_document("elliptic:square")
+        doc["type"][field] = value
+        with pytest.raises(DocumentError, match="bad type object"):
+            parse_motive(doc)
+    doc = example_document("elliptic:square")
+    doc["betti"]["rank"] = 2.0
+    with pytest.raises(DocumentError, match="betti.rank"):
+        parse_motive(doc)
+    doc = example_document("tate:1")
+    doc["period"][0][0]["tpi"] = True
+    with pytest.raises(DocumentError, match="tpi: expected an integer"):
+        parse_motive(doc)
+    doc = example_document("elliptic:square")
+    doc["period"][0][1]["digits"] = True
+    with pytest.raises(DocumentError, match="digits: expected an integer"):
+        parse_motive(doc)
+
+
+def test_quotient_spec_integer_fields_rejected():
+    m = parse_motive(example_document("elliptic:square"))
+    good = {"format_version": "1", "p": 3, "k": 1, "exponent": 1,
+            "q_dr": [["0", "1"]], "q_betti": [["0", "1"]], "phi_u": [["0"]],
+            "filtration_u": [{"i": 0, "basis": [["1"]]}]}
+    assert parse_quotient_spec(good, m).filtration_u[0][0] == 0
+    for field, value in (("p", 2.5), ("k", "one"), ("exponent", True),
+                         ("filtration_u", [{"i": "x", "basis": [["1"]]}]),
+                         ("filtration_u", [3])):
+        with pytest.raises(DocumentError):
+            parse_quotient_spec(dict(good, **{field: value}), m)
+
+
+def test_bench_generated_documents_parse(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    workloads = importlib.import_module("workloads")
+    rng = random.Random("curves-cli:1")
+    docs = [workloads.curve_document(rng, i)[0] for i in range(4)]
+    docs += [workloads.tate_document(r) for r in range(-3, 4)]
+    for doc in docs:
+        assert validate(parse_motive(load_document(json.dumps(doc)))).ok
+
+
+def test_fl_parse_and_valuations_read_no_fraction_view(monkeypatch):
+    # QMatrix.data builds Fractions on each read; parsing and deciding a
+    # curves-cli-style rank-2 module runs on the integer form alone
+    reads = []
+    view = QMatrix.data
+    monkeypatch.setattr(QMatrix, "data", property(lambda m: reads.append(m) or view.fget(m)))
+    mtype = MotiveType.of(-1, {-1: 1, 0: 1}, (-1, 1))
+    for p, a_p in ((3, 0), (7, -4), (13, 5), (29, 10)):
+        spec = {"phi": [[str(Fraction(a_p, p)), "1"], [str(Fraction(-1, p)), "0"]],
+                "lattice": [["1", "0"], ["0", "1"]],
+                "filtration": [{"i": 0, "basis": [["0"], ["1"]]}]}
+        module = _parse_fl(spec, p, mtype, f"local[p={p}]")
+        assert local_valuations(module).v == ((-1, 0), (0, 0), (1, 0))
+    assert reads == []
+    assert QMatrix.identity(1).data and len(reads) == 1  # the spy is live

@@ -113,6 +113,39 @@ def test_sublattice_n0_is_identity():
     assert sublattice_motive(m, spec) is m
 
 
+def test_one_phi_in_basis_per_module(monkeypatch):
+    # strong divisibility, full_quotient_spec and validate_spec (run again by
+    # sublattice_motive) read the module's one kept phi_D = B^-1 phi B: phi
+    # enters one product and one solve per module
+    from motive_height.documents import example_document, parse_motive
+    m = parse_motive(example_document("elliptic:square"))
+    fl = m.local[3]
+    products, solves = [], []
+    matmul, solve = QMatrix.__matmul__, QMatrix.solve
+
+    def counting_matmul(a, b):
+        out = matmul(a, b)
+        if a is fl.phi or b is fl.phi:
+            products.append(out)
+        return out
+
+    def counting_solve(a, rhs):
+        solves.append(any(rhs is x for x in products))
+        return solve(a, rhs)
+
+    monkeypatch.setattr(QMatrix, "__matmul__", counting_matmul)
+    monkeypatch.setattr(QMatrix, "solve", counting_solve)
+    assert validate(m).ok
+    spec = full_quotient_spec(m, 3)
+    validate_spec(m, spec)
+    assert len(products) == 1 and solves.count(True) == 1
+    assert spec.phi_u is fl.phi_in_basis()
+    sub = sublattice_motive(m, spec)
+    # the kernel module keeps phi over a new basis: its own phi_D, once
+    assert sub.local[3].phi is fl.phi
+    assert len(products) == 2 and solves.count(True) == 2
+
+
 def test_sublattice_tate_full_quotient():
     m = tate_motive(1, fl_primes=(3,))
     spec = full_quotient_spec(m, 3, exponent=1)

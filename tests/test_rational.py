@@ -14,6 +14,7 @@ from motive_height.rational import (
     smith_normal_form,
     vp,
 )
+import rational_oracle
 from conftest import random_int_matrix, random_unimodular
 
 
@@ -188,3 +189,167 @@ def test_zero_row_shapes_survive_scale_and_sums():
     # the Hermite form drops zero columns, in Q^0 as in Q^2
     assert (hnf_rational(empty).rows, hnf_rational(empty).cols) == (0, 0)
     assert hnf_rational(QMatrix.zeros(2, 3)) == QMatrix.zeros(2, 0)
+
+
+# ---------------------------------------------------------------------------
+# The integer form against Fraction arithmetic (tests/rational_oracle.py)
+# ---------------------------------------------------------------------------
+
+def random_rows(rng, rows, cols, singular=False):
+    """Rows of Fractions with denominators 1..12, many zeros and, now and
+    then, a zero row; ``singular`` repeats a row (or a combination)."""
+    def entry():
+        if rng.random() < 0.4:
+            return Fraction(0)
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+    out = [[entry() for _ in range(cols)] for _ in range(rows)]
+    if rows and rng.random() < 0.15:
+        out[rng.randrange(rows)] = [Fraction(0)] * cols
+    if singular and rows >= 2:
+        i, j = rng.sample(range(rows), 2)
+        c = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+        out[i] = [c * x for x in out[j]]
+    return out
+
+
+def qm(rows, cols):
+    return QMatrix(rows) if rows else QMatrix.zeros(0, cols)
+
+
+def fraction_product(a, b, inner, cols):
+    return tuple(tuple(sum((a[i][t] * b[t][j] for t in range(inner)), Fraction(0))
+                       for j in range(cols)) for i in range(len(a)))
+
+
+def test_det_solve_inverse_match_the_fraction_oracle(rng):
+    singular = 0
+    for trial in range(600):
+        n = rng.randint(0, 6)
+        a = random_rows(rng, n, n, singular=trial % 3 == 0)
+        m = qm(a, n)
+        d = rational_oracle.det(a)
+        assert m.det() == d and type(m.det()) is Fraction
+        k = rng.randint(0, 3)
+        b = random_rows(rng, n, k)
+        rhs = qm(b, k)
+        if d == 0:
+            singular += 1
+            with pytest.raises(ZeroDivisionError):
+                m.solve(rhs)
+            with pytest.raises(ZeroDivisionError):
+                rational_oracle.solve(a, b)
+            continue
+        x = m.solve(rhs)
+        assert (x.rows, x.cols) == (n, k)
+        assert x.data == tuple(map(tuple, rational_oracle.solve(a, b)))
+        inv = m.inverse()
+        assert inv.data == tuple(map(tuple, rational_oracle.solve(
+            a, [[Fraction(int(i == j)) for j in range(n)] for i in range(n)])))
+    assert singular > 100
+
+
+def test_products_sums_and_shapes_match_fraction_arithmetic(rng):
+    for _ in range(400):
+        r, c, k = (rng.randint(0, 6) for _ in range(3))
+        a, a2, b = random_rows(rng, r, c), random_rows(rng, r, c), random_rows(rng, c, k)
+        ma, ma2, mb = qm(a, c), qm(a2, c), qm(b, k)
+        prod = ma @ mb
+        assert (prod.rows, prod.cols) == (r, k)
+        assert prod.data == fraction_product(a, b, c, k)
+        assert (ma + ma2).data == tuple(tuple(x + y for x, y in zip(u, v)) for u, v in zip(a, a2))
+        assert (ma - ma2).data == tuple(tuple(x - y for x, y in zip(u, v)) for u, v in zip(a, a2))
+        s = Fraction(rng.randint(-5, 5), rng.randint(1, 7))
+        assert ma.scale(s).data == tuple(tuple(s * x for x in u) for u in a)
+        t = ma.transpose()
+        assert (t.rows, t.cols) == (c, r)
+        assert t.data == (tuple(zip(*a)) if r else ((),) * c)
+        assert t.transpose() == ma
+        h = ma.hstack(ma2)
+        assert (h.rows, h.cols) == (r, 2 * c)
+        assert h.data == tuple(tuple(u) + tuple(v) for u, v in zip(a, a2))
+        for m in (prod, ma + ma2, ma - ma2, ma.scale(s), t, h):
+            assert_lowest_terms(m)
+
+
+def assert_lowest_terms(m):
+    assert m.den > 0
+    assert math.gcd(m.den, *(x for row in m.num for x in row)) == 1
+    assert m.den == math.lcm(*(x.denominator for row in m.data for x in row))
+    assert m.is_integer() == (m.den == 1) == all(
+        x.denominator == 1 for row in m.data for x in row)
+
+
+def test_equal_values_from_differently_scaled_inputs_are_equal(rng):
+    for _ in range(200):
+        r, c = rng.randint(0, 5), rng.randint(0, 5)
+        a = random_rows(rng, r, c)
+        m = qm(a, c)
+        assert_lowest_terms(m)
+        s = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+        for same in (m.scale(s).scale(1 / s), (m + m).scale(Fraction(1, 2)),
+                     qm([[str(x) for x in row] for row in a], c),
+                     QMatrix.from_columns(m.columns(), rows=r),
+                     m @ QMatrix.identity(c), m.transpose().transpose()):
+            assert same == m and hash(same) == hash(m)
+            assert (same.num, same.den) == (m.num, m.den)
+        zero = m - m
+        assert zero == QMatrix.zeros(r, c) and zero.den == 1
+
+
+def test_normal_forms_and_kernels_of_rational_matrices(rng):
+    for _ in range(150):
+        r, c = rng.randint(0, 5), rng.randint(0, 5)
+        a = random_rows(rng, r, c, singular=rng.random() < 0.4)
+        m = qm(a, c)
+        rank = rational_oracle.rank(a)
+        # Hermite form: the parent's Fraction round trip through lcm scaling
+        h = hnf_rational(m)
+        if c:
+            d = math.lcm(*(x.denominator for row in a for x in row))
+            ints = QMatrix.from_columns([[int(x * d) for x in col] for col in m.columns()],
+                                        rows=r)
+            assert h == hnf_columns(ints).scale(Fraction(1, d))
+            assert (h.rows, h.cols) == (r, rank)
+        assert_lowest_terms(h)
+        # Smith form of the numerators: minors, and U num V diagonal
+        num = m.numerators()
+        divisors, u, v = smith_normal_form(num)
+        assert divisors == minor_gcd_divisors(num)
+        assert sum(1 for x in divisors if x) == rank
+        assert (u @ num @ v).data == tuple(
+            tuple(Fraction(divisors[i] if i == j else 0) for j in range(c)) for i in range(r))
+        # integer kernel: integral, annihilated, of rank cols - rank, saturated
+        k = integer_kernel(m)
+        assert (k.rows, k.cols) == (c, c - rank) and k.is_integer()
+        assert m @ k == QMatrix.zeros(r, c - rank)
+        if k.cols:
+            assert smith_normal_form(k)[0] == (1,) * k.cols
+
+
+def test_hermite_inputs_are_their_own_form(rng):
+    # a square Hermite form comes back unchanged, and rebasing it by a
+    # unimodular matrix leads the general elimination back to it
+    for _ in range(100):
+        n = rng.randint(0, 5)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = rng.randint(1, 6)
+            for j in range(i):
+                rows[i][j] = rng.randrange(rows[i][i])
+        h = qm(rows, n)
+        assert hnf_columns(h) == h
+        if n:
+            assert hnf_columns(h @ random_unimodular(rng, n)) == h
+
+
+def test_empty_shape_rules():
+    for k in range(4):
+        assert (QMatrix.zeros(0, k).transpose().rows, QMatrix.zeros(0, k).transpose().cols) \
+            == (k, 0)
+        assert (QMatrix.zeros(k, 0).transpose().rows, QMatrix.zeros(k, 0).transpose().cols) \
+            == (0, k)
+    assert (hnf_rational(QMatrix.zeros(0, 3)).rows, hnf_rational(QMatrix.zeros(0, 3)).cols) \
+        == (0, 0)
+    for n, m in ((3, 2), (0, 2), (2, 0), (0, 0)):
+        assert QMatrix.zeros(n, 0) @ QMatrix.zeros(0, m) == QMatrix.zeros(n, m)
+    assert QMatrix.zeros(0, 0).det() == 1
