@@ -38,8 +38,11 @@ from mpmath.libmp import (from_int, from_man_exp, fzero, mpf_abs, mpf_add, mpf_c
                           mpf_sign, mpf_sqrt, mpf_sub, round_ceiling, round_down,
                           round_floor, round_nearest, round_up)
 
+from .rational import parse_rational
+
 _DEFAULT_BITS = 128
 _GUARD_BITS = 30
+MIN_BITS = 8
 
 _bits = _DEFAULT_BITS
 mp.prec = _DEFAULT_BITS + _GUARD_BITS
@@ -60,8 +63,8 @@ class working_precision:
     directly, and restores the caller's value on exit."""
 
     def __init__(self, bits: int):
-        if bits < 8:
-            raise ValueError("precision must be at least 8 bits")
+        if bits < MIN_BITS:
+            raise ValueError(f"precision must be at least {MIN_BITS} bits")
         self.bits = int(bits)
 
     def __enter__(self):
@@ -175,9 +178,13 @@ class RealBall:
 
     @classmethod
     def from_decimal(cls, s: str, digits: int | None = None) -> "RealBall":
-        """Parse a decimal literal; ``digits`` is the author's certified accuracy."""
-        q = Fraction(s)
-        return cls(q, 0 if digits is None else Fraction(abs(q) or 1, 10 ** int(digits)))
+        """q ± |q| 10^-digits (± 10^-digits if q = 0) for a literal q in
+        Fraction's grammar certified to ``digits`` >= 0 digits, rounded once."""
+        n, d = parse_rational(s)
+        if digits is None:
+            return _rounded(n, 0, d, 0, 0)
+        t = 10 ** digits
+        return _rounded(n * t, 0, d * t, abs(n) or d, 0)
 
     @classmethod
     def zero(cls) -> "RealBall":

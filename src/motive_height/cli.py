@@ -25,7 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from mpmath import nstr
 
-from .balls import PrecisionExhausted, RealBall, working_precision
+from .balls import MIN_BITS, PrecisionExhausted, RealBall, working_precision
 from .documents import (
     DocumentError,
     canonical_bytes,
@@ -44,6 +44,7 @@ from .experiments import (
     n_of_m,
 )
 from .motive import InvalidMotive, WindowMismatch, height, validate
+from .rational import is_prime
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -79,6 +80,12 @@ def _read(path: str) -> str:
             return f.read()
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}")
+
+
+def _at_least(value: int, minimum: int, flag: str) -> int:
+    if value < minimum:
+        raise DocumentError(f"{flag}: expected an integer >= {minimum}, got {value}")
+    return value
 
 
 def _load_motive(path: str):
@@ -140,6 +147,8 @@ def cmd_height(args) -> int:
 
 
 def cmd_local(args) -> int:
+    if not is_prime(args.p):
+        raise DocumentError(f"--p: expected a prime, got {args.p}")
     m = _load_motive(args.document)
     report = validate(m)
     if not report.ok:
@@ -165,7 +174,7 @@ def cmd_invariants(args) -> int:
 def cmd_experiment(args) -> int:
     m = _load_motive(args.document)
     spec = parse_quotient_spec(load_document(_read(args.spec)), m)
-    rep = invariance_experiment(m, spec, args.n)
+    rep = invariance_experiment(m, spec, None if args.n is None else _at_least(args.n, 0, "-n"))
     d = args.digits
     print(f"id: {rep.label}   p = {rep.p}   n = {rep.exponent}")
     print(f"s(U) = {rep.s_u}, t(U) = {rep.t_u}")
@@ -281,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with working_precision(args.precision):
+        _at_least(args.digits, 1, "--digits")
+        with working_precision(_at_least(args.precision, MIN_BITS, "--precision")):
             return args.func(args)
     except _FAILURE_TYPES as exc:
         code, message = _failure(exc)

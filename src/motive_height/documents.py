@@ -7,12 +7,19 @@ rational pairs, exact rational multiples of integer powers of 2*pi*i
 digit count ({"re": "...", "im": "...", "digits": 45}).  Canonical bytes
 are the sorted-key compact JSON dump plus a trailing newline; parsing a
 canonical document and re-canonicalizing is the identity on bytes.
+
+Every field is read once, by one of the typed readers below, straight to
+its final form: exact matrices as integer rows over one denominator,
+decimals as balls built from integers.  A field of the wrong type or shape
+raises DocumentError naming its path; well-formed fields whose mathematics
+is wrong raise InvalidMotive.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import lcm
 from typing import Any, Mapping
 
 from .balls import ComplexBall, RealBall
@@ -20,7 +27,7 @@ from .experiments import QuotientSpec
 from .fl import FilPhiModule, LocalLatticeSpec
 from .lines import Lattice
 from .motive import InvalidMotive, MotiveData, MotiveType
-from .rational import QMatrix
+from .rational import QMatrix, parse_rational
 
 FORMAT_VERSION = "1"
 
@@ -39,191 +46,183 @@ def load_document(text: str | bytes) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"not valid JSON: {exc}")
-    if not isinstance(doc, dict):
-        raise DocumentError("document must be a JSON object")
-    if doc.get("format_version") != FORMAT_VERSION:
+    if _object(doc, "document").get("format_version") != FORMAT_VERSION:
         raise DocumentError(
             f"unsupported format_version {doc.get('format_version')!r}")
     return doc
 
 
-def _is_decimal_integer(s: str) -> bool:
-    digits = s[1:] if s[:1] in ("+", "-") else s
-    return digits.isascii() and digits.isdigit()
+# ---- the readers ----
+
+def _object(x, where: str, *required: str) -> dict:
+    """A JSON object that has every ``required`` key."""
+    if not isinstance(x, dict):
+        raise DocumentError(f"{where}: expected an object, got {x!r}")
+    for key in required:
+        if key not in x:
+            raise DocumentError(f"{where}: missing field {key!r}")
+    return x
 
 
-def _int(x, where: str) -> int:
-    """A JSON integer (not a boolean) or a decimal integer string."""
-    if isinstance(x, int) and not isinstance(x, bool):
+def _list(x, where: str, length: int | None = None) -> list:
+    """A JSON list, of ``length`` items if given."""
+    if isinstance(x, list) and length in (None, len(x)):
         return x
-    if isinstance(x, str) and _is_decimal_integer(x):
-        return int(x)
-    raise DocumentError(f"{where}: expected an integer, got {x!r}")
+    want = "a list" if length is None else f"a list of length {length}"
+    got = f"a list of length {len(x)}" if isinstance(x, list) else repr(x)
+    raise DocumentError(f"{where}: expected {want}, got {got}")
 
 
-def _rational(s, where: str) -> int | Fraction:
-    """An exact field: a rational string or a JSON integer.  Integer strings
-    skip Fraction's parser."""
-    if isinstance(s, str):
-        if _is_decimal_integer(s):
-            return int(s)
+def _str(x, where: str) -> str:
+    if not isinstance(x, str):
+        raise DocumentError(f"{where}: expected a string, got {x!r}")
+    return x
+
+
+def _int(x, where: str, minimum: int | None = None) -> int:
+    """A JSON integer (not a boolean) or a decimal integer string, at least
+    ``minimum`` if given."""
+    digits = x[1:] if isinstance(x, str) and x[:1] in ("+", "-") else x
+    if isinstance(x, str) and digits.isascii() and digits.isdigit():
+        n = int(x)
+    elif isinstance(x, int) and not isinstance(x, bool):
+        n = x
+    else:
+        raise DocumentError(f"{where}: expected an integer, got {x!r}")
+    if minimum is not None and n < minimum:
+        raise DocumentError(f"{where}: expected an integer >= {minimum}, got {x!r}")
+    return n
+
+
+def _ratio(x, where: str) -> tuple[int, int]:
+    """An exact field, a rational string or a JSON integer, as (n, d), d > 0."""
+    if isinstance(x, str):
         try:
-            return Fraction(s)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DocumentError(f"{where}: bad rational {s!r} ({exc})")
-    if isinstance(s, int) and not isinstance(s, bool):
-        return s
-    raise DocumentError(f"{where}: exact fields must be strings, got {type(s).__name__}")
+            return parse_rational(x)
+        except ValueError as exc:
+            raise DocumentError(f"{where}: {exc}")
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x, 1
+    raise DocumentError(f"{where}: exact fields must be strings, got {type(x).__name__}")
 
 
-def _fraction(s, where: str) -> Fraction:
-    return Fraction(_rational(s, where))
+def _matrix(x, where: str, rows: int, cols: int | None = None) -> QMatrix:
+    """An exact rows x cols matrix (cols = the first row's length if not
+    given), built as integer rows over the lcm of the entry denominators."""
+    x = _list(x, where, rows)
+    if cols is None:
+        cols = len(_list(x[0], where)) if x else 0
+    entries = [[_ratio(v, where) for v in _list(row, where, cols)] for row in x]
+    den = lcm(*[d for row in entries for _, d in row])
+    return QMatrix._reduced(tuple(tuple([n * (den // d) for n, d in row]) for row in entries),
+                            den, cols)
 
 
-def _qmatrix(rows, where: str, shape: tuple[int, int] | None = None) -> QMatrix:
-    if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
-        raise DocumentError(f"{where}: expected a list of rows")
-    m = QMatrix([[_rational(x, where) for x in row] for row in rows]) \
-        if rows and rows[0] else QMatrix.zeros(len(rows), 0)
-    if shape is not None and (m.rows, m.cols) != shape:
-        raise DocumentError(f"{where}: expected shape {shape}, got {(m.rows, m.cols)}")
-    return m
+def _decimal(x, where: str, digits: int | None) -> RealBall:
+    """A decimal string certified to ``digits`` digits, as a ball."""
+    x = _str(x, where)
+    try:
+        return RealBall.from_decimal(x, digits)
+    except ValueError as exc:
+        raise DocumentError(f"{where}: {exc}")
 
 
-def _period_entry(entry, where: str) -> ComplexBall:
-    if isinstance(entry, str):
-        return ComplexBall.from_rationals(_fraction(entry, where))
-    if isinstance(entry, dict):
-        if "tpi" in entry:
-            k = _int(entry["tpi"], f"{where}.tpi")
-            scale = _fraction(entry.get("scale", "1"), where)
-            return ComplexBall.tpi_power(k, scale)
-        if "re" in entry or "im" in entry:
-            digits = entry.get("digits")
-            if digits is not None:
-                digits = _int(digits, f"{where}.digits")
-            re = entry.get("re", "0")
-            im = entry.get("im", "0")
-            if not isinstance(re, str) or not isinstance(im, str):
-                raise DocumentError(f"{where}: decimal entries must be strings")
-            try:
-                return ComplexBall(RealBall.from_decimal(re, digits),
-                                   RealBall.from_decimal(im, digits))
-            except ValueError as exc:
-                raise DocumentError(f"{where}: {exc}")
+def _period_entry(x, where: str) -> ComplexBall:
+    if isinstance(x, str):
+        return ComplexBall.from_rationals(Fraction(*_ratio(x, where)))
+    entry = _object(x, where)
+    if "tpi" in entry:
+        return ComplexBall.tpi_power(_int(entry["tpi"], f"{where}.tpi"),
+                                     Fraction(*_ratio(entry.get("scale", 1), f"{where}.scale")))
+    if "re" in entry or "im" in entry:
+        digits = entry.get("digits")
+        digits = None if digits is None else _int(digits, f"{where}.digits", 0)
+        return ComplexBall(*(_decimal(entry.get(part, "0"), f"{where}.{part}", digits)
+                             for part in ("re", "im")))
     raise DocumentError(f"{where}: unrecognized period entry {entry!r}")
 
 
-def _int_keyed(mapping, where: str) -> dict[int, int]:
-    if not isinstance(mapping, dict):
-        raise DocumentError(f"{where}: expected an object")
-    return {_int(k, where): _int(v, f"{where}[{k}]") for k, v in mapping.items()}
+def _built(where: str, make, *args):
+    """make(*args) on well-formed fields; a ValueError then means the
+    mathematics is wrong, which is a validation failure."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise InvalidMotive([f"{where}: {exc}"])
 
 
 def parse_motive(doc: Mapping[str, Any]) -> MotiveData:
     """Build a MotiveData from a parsed document; schema errors raise
-    DocumentError (semantic problems are left to validate())."""
-    tspec = doc.get("type")
-    if not isinstance(tspec, dict):
-        raise DocumentError("missing type object")
-    try:
-        weight = _int(tspec["weight"], "type.weight")
-        numbers = _int_keyed(tspec.get("hodge_numbers", {}), "type.hodge_numbers")
-        window = tspec.get("window")
-        if window is not None:
-            if not isinstance(window, list) or len(window) != 2:
-                raise DocumentError(f"type.window: expected [a, b], got {window!r}")
-            window = (_int(window[0], "type.window"), _int(window[1], "type.window"))
-        mtype = MotiveType.of(weight, numbers, window)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise DocumentError(f"bad type object: {exc}")
+    DocumentError, and semantic ones InvalidMotive or, from validate(),
+    a failed report."""
+    tspec = _object(doc.get("type"), "type", "weight")
+    hodge = _object(tspec.get("hodge_numbers", {}), "type.hodge_numbers")
+    numbers = {_int(r, "type.hodge_numbers"): _int(h, f"type.hodge_numbers[{r}]", 0)
+               for r, h in hodge.items()}
+    window = tspec.get("window")
+    if window is not None:
+        a = _int(_list(window, "type.window", 2)[0], "type.window")
+        window = (a, _int(window[1], "type.window", a))
+    mtype = _built("type", MotiveType.of, _int(tspec["weight"], "type.weight"), numbers, window)
     n = mtype.rank
 
-    betti = doc.get("betti", {})
-    if betti and _int(betti.get("rank", n), "betti.rank") != n:
-        raise DocumentError(f"betti.rank {betti.get('rank')} != type rank {n}")
-    dr = doc.get("dr", {})
+    betti = _object(doc.get("betti", {}), "betti")
+    if _int(betti.get("rank", n), "betti.rank") != n:
+        raise DocumentError(f"betti.rank {betti['rank']} != type rank {n}")
+    dr = _object(doc.get("dr", {}), "dr")
     declared = dr.get("filtration_dims")
-    if declared is not None:
-        for r, d in _int_keyed(declared, "dr.filtration_dims").items():
-            if mtype.filtration_dim(r) != d:
-                raise DocumentError(
-                    f"dr.filtration_dims[{r}] = {d} disagrees with the type")
+    for r, d in _object({} if declared is None else declared, "dr.filtration_dims").items():
+        if mtype.filtration_dim(_int(r, "dr.filtration_dims")) != \
+                _int(d, f"dr.filtration_dims[{r}]"):
+            raise DocumentError(f"dr.filtration_dims[{r}] = {d} disagrees with the type")
 
-    period_rows = doc.get("period")
-    if not isinstance(period_rows, list) or len(period_rows) != n \
-            or any(not isinstance(r, list) or len(r) != n for r in period_rows):
-        raise DocumentError(f"period must be a {n}x{n} matrix")
     period = [[_period_entry(x, f"period[{i}][{j}]")
-               for j, x in enumerate(row)] for i, row in enumerate(period_rows)]
+               for j, x in enumerate(_list(row, f"period[{i}]", n))]
+              for i, row in enumerate(_list(doc.get("period"), "period", n))]
 
     local = {}
-    for entry in doc.get("local", []):
-        if not isinstance(entry, dict) or "p" not in entry:
-            raise DocumentError("each local entry needs a prime p")
-        p = _int(entry["p"], "local.p")
+    for index, entry in enumerate(_list(doc.get("local", []), "local")):
+        p = _int(_object(entry, f"local[{index}]", "p")["p"], "local.p")
         where = f"local[p={p}]"
         if ("fl" in entry) == ("override" in entry):
             raise DocumentError(f"{where}: exactly one of fl/override required")
         if "override" in entry:
-            values = _int_keyed(entry["override"], where)
-            try:
-                local[p] = LocalLatticeSpec.from_map(p, mtype.window, values)
-            except ValueError as exc:
-                raise DocumentError(f"{where}: {exc}")
+            values = {_int(r, where): _int(v, f"{where}[{r}]")
+                      for r, v in _object(entry["override"], where).items()}
+            local[p] = _built(where, LocalLatticeSpec.from_map, p, mtype.window, values)
         else:
             local[p] = _parse_fl(entry["fl"], p, mtype, where)
 
-    bad = doc.get("bad_primes", [])
-    if not isinstance(bad, list):
-        raise DocumentError("bad_primes must be a list")
-    label = str(doc.get("metadata", {}).get("id", "M"))
-    return MotiveData(mtype, period, local,
-                      bad_primes=[_int(p, "bad_primes") for p in bad], label=label)
+    bad = [_int(p, "bad_primes") for p in _list(doc.get("bad_primes", []), "bad_primes")]
+    label = _str(_object(doc.get("metadata", {}), "metadata").get("id", "M"), "metadata.id")
+    return MotiveData(mtype, period, local, bad_primes=bad, label=label)
 
 
 def _parse_fl(spec, p: int, mtype: MotiveType, where: str) -> FilPhiModule:
-    if not isinstance(spec, dict):
-        raise DocumentError(f"{where}: fl must be an object")
+    spec = _object(spec, f"{where}.fl", "phi", "lattice")
     n = mtype.rank
-    a, b = mtype.window
-    try:
-        phi = _qmatrix(spec["phi"], f"{where}.phi", (n, n))
-        lattice = _qmatrix(spec["lattice"], f"{where}.lattice", (n, n))
-        fil = {}
-        for step in spec.get("filtration", []):
-            if not isinstance(step, dict):
-                raise DocumentError(f"{where}.filtration: each step must be an object")
-            i = _int(step["i"], f"{where}.filtration.i")
-            k = mtype.filtration_dim(i)
-            fil[i] = _qmatrix(step["basis"], f"{where}.filtration[i={i}]", (n, k))
-    except KeyError as exc:
-        raise DocumentError(f"{where}: missing field {exc}")
-    try:
-        return FilPhiModule(p, Lattice(lattice), phi, fil, (a, b))
-    except ValueError as exc:
-        # shape was fine, the mathematics is not: a validation failure
-        raise InvalidMotive([f"{where}: {exc}"])
+    phi = _matrix(spec["phi"], f"{where}.phi", n, n)
+    lattice = _matrix(spec["lattice"], f"{where}.lattice", n, n)
+    fil = {}
+    for step in _list(spec.get("filtration", []), f"{where}.filtration"):
+        i = _int(_object(step, f"{where}.filtration", "i", "basis")["i"], f"{where}.filtration.i")
+        fil[i] = _matrix(step["basis"], f"{where}.filtration[i={i}]", n, mtype.filtration_dim(i))
+    return _built(where, lambda: FilPhiModule(p, Lattice(lattice), phi, fil, mtype.window))
 
 
 def parse_quotient_spec(doc: Mapping[str, Any], m: MotiveData) -> QuotientSpec:
-    try:
-        p = _int(doc["p"], "p")
-        k = _int(doc["k"], "k")
-        exponent = _int(doc.get("exponent", 1), "exponent")
-    except KeyError as exc:
-        raise DocumentError(f"bad quotient spec: {exc}")
+    doc = _object(doc, "quotient spec", "p", "k")
+    p = _int(doc["p"], "p")
+    k = _int(doc["k"], "k", 0)
+    exponent = _int(doc.get("exponent", 1), "exponent", 0)
     n = m.rank
-    a, b = m.window
-    q_dr = _qmatrix(doc.get("q_dr"), "q_dr", (k, n))
-    q_betti = _qmatrix(doc.get("q_betti"), "q_betti", (k, n))
-    phi_u = _qmatrix(doc.get("phi_u"), "phi_u", (k, k))
+    q_dr = _matrix(doc.get("q_dr"), "q_dr", k, n)
+    q_betti = _matrix(doc.get("q_betti"), "q_betti", k, n)
+    phi_u = _matrix(doc.get("phi_u"), "phi_u", k, k)
     fil_u = []
-    for step in doc.get("filtration_u", []):
-        if not isinstance(step, dict) or "i" not in step:
-            raise DocumentError("filtration_u: each step must be an object with i")
-        i = _int(step["i"], "filtration_u.i")
-        fil_u.append((i, _qmatrix(step.get("basis"), f"filtration_u[i={i}]")))
+    for step in _list(doc.get("filtration_u", []), "filtration_u"):
+        i = _int(_object(step, "filtration_u", "i", "basis")["i"], "filtration_u.i")
+        fil_u.append((i, _matrix(step["basis"], f"filtration_u[i={i}]", k)))
     return QuotientSpec(p, k, q_dr, q_betti, phi_u, tuple(fil_u), exponent)
 
 
@@ -233,18 +232,11 @@ def parse_quotient_spec(doc: Mapping[str, Any], m: MotiveData) -> QuotientSpec:
 
 def example_document(name: str) -> dict:
     """Builder documents: 'trivial', 'tate:<r>', 'elliptic:square'."""
-    if name == "trivial":
-        name = "tate:0"
-    if name.startswith("tate:"):
-        try:
-            r = int(name.split(":", 1)[1])
-        except ValueError:
-            raise DocumentError(f"bad tate parameter in {name!r}")
-        return _tate_document(r)
     if name == "elliptic:square":
         return _elliptic_square_document()
-    raise DocumentError(
-        f"unknown example {name!r} (try trivial, tate:<r>, elliptic:square)")
+    if name == "trivial" or name.startswith("tate:"):
+        return _tate_document(_int("0" if name == "trivial" else name[5:], name))
+    raise DocumentError(f"unknown example {name!r} (try trivial, tate:<r>, elliptic:square)")
 
 
 def _tate_document(r: int) -> dict:
@@ -282,7 +274,8 @@ def _elliptic_square_document() -> dict:
                "filtration_dims": {"-1": 2, "0": 1, "1": 0}},
         "betti": {"rank": 2},
         "period": [
-            [{"re": _inverse_decimal(omega, digits), "im": "0", "digits": digits},
+            [{"re": "0.38137988175090659403116299048180789664631461867404",  # 1/Omega
+              "im": "0", "digits": digits},
              {"re": "0", "im": omega[:digits + 2], "digits": digits}],
             [{"re": "0", "im": "0"},
              {"re": "-" + omega[:digits + 2], "im": "0", "digits": digits}],
@@ -303,9 +296,3 @@ def _elliptic_fl_rows(p: int, a_p: int) -> dict:
         "lattice": [["1", "0"], ["0", "1"]],
         "filtration": [{"i": 0, "basis": [["0"], ["1"]]}],
     }
-
-
-def _inverse_decimal(decimal: str, digits: int) -> str:
-    from mpmath import mp, mpf, nstr
-    with mp.workdps(digits + 15):
-        return nstr(1 / mpf(decimal), digits + 5)

@@ -190,7 +190,9 @@ def validate_spec(m: MotiveData, spec: QuotientSpec) -> None:
     # filtration: q maps D^i onto U^i at p, and U^i is saturated
     binv = fl.lattice.basis_inverse()
     for i in range(a + 1, b):
-        u_i = spec.u_filtration_matrix(i, (a, b))
+        u_i = dict(spec.filtration_u).get(i)
+        if u_i is None:
+            raise IncompatibleSpec(f"U^{i} is not declared")
         if not u_i.is_integer():
             raise IncompatibleSpec(f"U^{i} must be an integer sublattice")
         if not _saturated_at_p(u_i, p):

@@ -13,17 +13,37 @@ modular tricks are used.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
+# Fraction's string grammar, as in ``fractions._RATIONAL_FORMAT``
+_RATIONAL_FORMAT = re.compile(r"""
+    \A\s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>\d*|\d+(_\d+)*)
+    (?:(?:/(?P<denom>\d+(_\d+)*))?
+     |(?:\.(?P<decimal>d*|\d+(_\d+)*))?(?:E(?P<exp>[-+]?\d+(_\d+)*))?)
+    \s*\Z""", re.VERBOSE | re.IGNORECASE)
+
+
+def parse_rational(s: str) -> tuple[int, int]:
+    """(n, d) with d > 0 and n / d the value Fraction(s) reads, by the same
+    grammar but with no gcd: a decimal "1.25e-3" gives d = 10^5."""
+    if s.isascii() and s.isdigit():
+        return int(s), 1
+    m = _RATIONAL_FORMAT.match(s)
+    if m is None or m["denom"] is not None and not int(m["denom"]):
+        raise ValueError(f"invalid rational literal {s!r}")
+    places = (m["decimal"] or "").replace("_", "")
+    e = int(m["exp"] or "0") - len(places)
+    n = int((m["num"] or "0") + places) * 10 ** max(e, 0)
+    return (-n if m["sign"] == "-" else n), int(m["denom"] or "1") * 10 ** max(-e, 0)
+
 
 def _rational(x):
     if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, str):
-        return Fraction(x)
     raise TypeError(f"matrix entries must be exact rationals, got {type(x).__name__}")
 
 

@@ -271,8 +271,17 @@ def _set_local(index, key, value):
     return lambda doc: doc["local"][index].__setitem__(key, value)
 
 
-# each malformed integer field of elliptic:square, with the message it gives
-MALFORMED_INTEGERS = {
+def _set_fl(key, value):
+    return lambda doc: doc["local"][0]["fl"].__setitem__(key, value)
+
+
+def _set_entry(key, value):
+    return lambda doc: doc["period"][0][1].__setitem__(key, value)
+
+
+# each malformed field of elliptic:square (integers, containers of the wrong
+# type, a ragged matrix row, decimals), with the message it gives
+MALFORMED_FIELDS = {
     "p-word": (_set_local(0, "p", "x"), "local.p: expected an integer, got 'x'"),
     "p-list": (_set_local(0, "p", [3]), "local.p: expected an integer, got [3]"),
     "p-float": (_set_local(0, "p", 3.9), "local.p: expected an integer, got 3.9"),
@@ -284,12 +293,28 @@ MALFORMED_INTEGERS = {
                        "local[p=2][0]: expected an integer, got 1.5"),
     "phi-bool": (lambda doc: doc["local"][0]["fl"]["phi"][0].__setitem__(1, True),
                  "local[p=3].phi: exact fields must be strings, got bool"),
+    "local": (lambda doc: doc.__setitem__("local", 5), "local: expected a list, got 5"),
+    "betti": (lambda doc: doc.__setitem__("betti", 5), "betti: expected an object, got 5"),
+    "dr": (lambda doc: doc.__setitem__("dr", 5), "dr: expected an object, got 5"),
+    "metadata": (lambda doc: doc.__setitem__("metadata", 5),
+                 "metadata: expected an object, got 5"),
+    "filtration": (_set_fl("filtration", 5), "local[p=3].filtration: expected a list, got 5"),
+    "ragged-phi": (_set_fl("phi", [["-1/3", "1", "0"], ["-1/3", "0"]]),
+                   "local[p=3].phi: expected a list of length 2, got a list of length 3"),
+    "digits": (_set_entry("digits", -1),
+               "period[0][1].digits: expected an integer >= 0, got -1"),
+    "re-zero-denominator": (_set_entry("re", "1/0"),
+                            "period[0][1].re: invalid rational literal '1/0'"),
+    "re-spaced": (_set_entry("re", "3 / 4"),
+                  "period[0][1].re: invalid rational literal '3 / 4'"),
+    "id": (lambda doc: doc["metadata"].__setitem__("id", 5),
+           "metadata.id: expected a string, got 5"),
 }
 
 
-@pytest.mark.parametrize("case", MALFORMED_INTEGERS)
+@pytest.mark.parametrize("case", MALFORMED_FIELDS)
 def test_malformed_integer_fields_exit3(capsys, tmp_path, case):
-    change, message = MALFORMED_INTEGERS[case]
+    change, message = MALFORMED_FIELDS[case]
     path = tmp_path / "bad.json"
     path.write_bytes(canonical_bytes(_broken_elliptic(change)))
     for command in ("validate", "height"):
@@ -299,13 +324,53 @@ def test_malformed_integer_fields_exit3(capsys, tmp_path, case):
 def test_batch_prints_good_rows_around_a_malformed_integer(capsys, tmp_path):
     good = write_example(tmp_path, "elliptic:square", "a.json")
     bad = tmp_path / "b.json"
-    bad.write_bytes(canonical_bytes(_broken_elliptic(_set_local(0, "p", "x"))))
-    for jobs in ("1", "2"):
-        code, out, err = run_cli(capsys, "batch", good, str(bad), good,
-                                 "--format", "rows", "--jobs", jobs)
-        assert code == 3
-        assert [row.split("\t")[0] for row in out.splitlines()] == ["elliptic:square"] * 2
-        assert err == f"{bad}: malformed input: local.p: expected an integer, got 'x'\n"
+    for case in ("p-word", "local"):
+        change, message = MALFORMED_FIELDS[case]
+        bad.write_bytes(canonical_bytes(_broken_elliptic(change)))
+        for jobs in ("1", "2"):
+            code, out, err = run_cli(capsys, "batch", good, str(bad), good,
+                                     "--format", "rows", "--jobs", jobs)
+            assert code == 3
+            assert [row.split("\t")[0] for row in out.splitlines()] == ["elliptic:square"] * 2
+            assert err == f"{bad}: malformed input: {message}\n"
+
+
+TATE_SPEC = {"format_version": "1", "p": 2, "k": 1, "exponent": 1, "q_dr": [["1"]],
+             "q_betti": [["1"]], "phi_u": [["1/2"]], "filtration_u": []}
+
+
+@pytest.mark.parametrize("spec, flags, message", [
+    ({}, ["-n", "-1"], "-n: expected an integer >= 0, got -1"),
+    ({"exponent": -1}, [], "exponent: expected an integer >= 0, got -1"),
+    ({"filtration_u": 5}, [], "filtration_u: expected a list, got 5"),
+])
+def test_malformed_experiment_inputs_exit3(capsys, tmp_path, spec, flags, message):
+    path = write_example(tmp_path, "tate:1")
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_bytes(canonical_bytes(dict(TATE_SPEC, **spec)))
+    assert run_cli(capsys, "experiment", path, str(spec_path), *flags) == \
+        (3, "", f"malformed input: {message}\n")
+
+
+def test_precision_and_digits_below_their_minimum_exit3(capsys, tmp_path):
+    path = write_example(tmp_path, "tate:1")
+    assert run_cli(capsys, "--precision", "4", "height", path) == \
+        (3, "", "malformed input: --precision: expected an integer >= 8, got 4\n")
+    assert run_cli(capsys, "--precision", "8", "height", path)[0] == 0
+    for digits in ("0", "-5"):
+        assert run_cli(capsys, "--digits", digits, "height", path) == \
+            (3, "", f"malformed input: --digits: expected an integer >= 1, got {digits}\n")
+    code, out, _ = run_cli(capsys, "--digits", "1", "height", path)
+    assert code == 0 and "h = -2.0 ± " in out
+
+
+def test_local_needs_a_prime(capsys, tmp_path):
+    path = write_example(tmp_path, "elliptic:square")
+    for p in ("4", "1", "0", "-3"):
+        assert run_cli(capsys, "local", path, "--p", p) == \
+            (3, "", f"malformed input: --p: expected a prime, got {p}\n")
+    code, out, _ = run_cli(capsys, "local", path, "--p", "7")
+    assert code == 0 and out.startswith("p = 7 (default-good)\n")
 
 
 def test_console_entry_point():

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from mpmath import mp, mpf
 
+from motive_height.balls import RealBall, working_precision
 from motive_height.documents import (
     DocumentError,
     _parse_fl,
@@ -158,7 +159,7 @@ def test_integer_fields_take_json_integers_and_decimal_strings():
                          ("window", [-1])):
         doc = example_document("elliptic:square")
         doc["type"][field] = value
-        with pytest.raises(DocumentError, match="bad type object"):
+        with pytest.raises(DocumentError, match=rf"^type\.{field}: expected "):
             parse_motive(doc)
     doc = example_document("elliptic:square")
     doc["betti"]["rank"] = 2.0
@@ -212,3 +213,127 @@ def test_fl_parse_and_valuations_read_no_fraction_view(monkeypatch):
         assert local_valuations(module).v == ((-1, 0), (0, 0), (1, 0))
     assert reads == []
     assert QMatrix.identity(1).data and len(reads) == 1  # the spy is live
+
+
+# ---------------------------------------------------------------------------
+# spellings, period balls and mutations
+# ---------------------------------------------------------------------------
+
+TATE_SPEC = {"format_version": "1", "p": 2, "k": 1, "exponent": 1, "q_dr": [["1"]],
+             "q_betti": [["1"]], "phi_u": [["1/2"]], "filtration_u": []}
+ELLIPTIC_SPEC = {"format_version": "1", "p": 3, "k": 2, "exponent": 1,
+                 "q_dr": [["1", "0"], ["0", "1"]], "q_betti": [["1", "0"], ["0", "1"]],
+                 "phi_u": [["0", "1"], ["-1/3", "0"]],
+                 "filtration_u": [{"i": 0, "basis": [["0"], ["1"]]}]}
+
+# Fraction's grammar, whitespace and underscores included; each exact
+# spelling reads the same as a period entry and as a matrix entry
+ACCEPTED = {"3/4": Fraction(3, 4), "-0": 0, "1e3": 1000, " 3/4": Fraction(3, 4),
+            "1_0": 10, "2/4": Fraction(1, 2)}
+REJECTED = ("3 / 4", "1/0", "nan", 1.5, True)
+
+
+def _with_period(entry):
+    doc = example_document("tate:0")
+    doc["period"] = [[entry]]
+    return doc
+
+
+def test_exact_and_decimal_spellings_pinned():
+    m = parse_motive(example_document("tate:1"))
+    for text, value in ACCEPTED.items():
+        z = parse_motive(_with_period(text)).period[0][0]
+        assert z.exact == {0: (value, 0)}
+        assert parse_quotient_spec(dict(TATE_SPEC, phi_u=[[text]]), m).phi_u[0, 0] == value
+        z = parse_motive(_with_period({"re": text, "im": "0", "digits": 45})).period[0][0]
+        assert z.re.mid == RealBall(value).mid and z.im.mid == 0
+    for bad in REJECTED:
+        # a rejection; test_cli pins that each one is malformed input
+        for doc in (_with_period(bad), _with_period({"re": "1", "im": bad, "digits": 45})):
+            with pytest.raises((DocumentError, ZeroDivisionError)):
+                parse_motive(doc)
+        with pytest.raises(DocumentError):
+            parse_quotient_spec(dict(TATE_SPEC, phi_u=[[bad]]), m)
+
+
+def _curve_documents(monkeypatch, count):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    workloads = importlib.import_module("workloads")
+    rng = random.Random("curves-cli:1")
+    return [workloads.curve_document(rng, i)[0] for i in range(count)]
+
+
+def test_decimal_period_balls_enclose_their_certified_decimals(monkeypatch):
+    # each decimal q certified to d digits reads as the ball with the
+    # midpoint of q and a radius no larger than RealBall(q, |q| 10^-d)'s
+    # that still holds q ± |q| 10^-d
+    docs = [example_document("elliptic:square")] + _curve_documents(monkeypatch, 4)
+    checked = 0
+    for bits in (64, 128, 256):
+        with working_precision(bits):
+            for doc in docs:
+                period = parse_motive(doc).period
+                for i, row in enumerate(doc["period"]):
+                    for j, entry in enumerate(row):
+                        if "digits" not in entry:
+                            continue
+                        for part in ("re", "im"):
+                            q = Fraction(entry[part])
+                            r = (abs(q) or 1) / Fraction(10) ** entry["digits"]
+                            ball, wide = getattr(period[i][j], part), RealBall(q, r)
+                            assert ball.mid == wide.mid and ball.rad <= wide.rad
+                            mid, rad = (RealBall(x).exact_fraction() for x in (ball.mid, ball.rad))
+                            assert mid - rad <= q - r and q + r <= mid + rad
+                            checked += 1
+    assert checked == 3 * (6 + 4 * 6)
+
+
+MUTANTS = (7, "x", [1], {"a": 1}, True, None, -1, "1/0")
+
+
+def _paths(node, path=()):
+    yield path
+    children = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+def _mutated(doc, path, value):
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def test_mutated_documents_and_specs_never_raise(monkeypatch, tmp_path, capsys):
+    # one node of a valid document or quotient spec replaced by a value of
+    # another type: the CLI answers with an exit code, never a traceback
+    from motive_height.cli import main
+
+    def exit_code(*argv):
+        code = main(list(argv))
+        capsys.readouterr()
+        return code
+
+    rng = random.Random(11)
+    motive = tmp_path / "motive.json"
+    mutant = tmp_path / "mutant.json"
+    docs = [example_document("elliptic:square"), example_document("tate:1")]
+    docs += _curve_documents(monkeypatch, 1)
+    for doc in docs:
+        for path in _paths(doc):
+            value = rng.choice(MUTANTS)
+            mutant.write_text(json.dumps(_mutated(doc, path, value)))
+            assert exit_code("height", str(mutant)) in (0, 1, 2, 3), (path, value)
+    for name, spec in (("tate:1", TATE_SPEC), ("elliptic:square", ELLIPTIC_SPEC)):
+        motive.write_bytes(canonical_bytes(example_document(name)))
+        for path in _paths(spec):
+            value = rng.choice(MUTANTS)
+            mutant.write_text(json.dumps(_mutated(spec, path, value)))
+            assert exit_code("experiment", str(motive), str(mutant)) in (0, 1, 2, 3), \
+                (name, path, value)

@@ -279,6 +279,14 @@ def test_u_filtration_not_image_of_d_rejected():
         validate_spec(m, bad)
 
 
+def test_undeclared_u_filtration_step_rejected():
+    m, good = _elliptic_spec_with_u0(QMatrix([[0], [1]]))
+    for steps in ((), ((1, QMatrix([[0], [1]])),)):
+        bad = QuotientSpec(5, 2, good.q_dr, good.q_betti, good.phi_u, steps, 1)
+        with pytest.raises(IncompatibleSpec, match="U\\^0 is not declared"):
+            validate_spec(m, bad)
+
+
 def test_containment_on_empty_bases():
     from motive_height.experiments import _contained_at_p, _coords_in
 

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from motive_height.documents import _matrix
 from motive_height.rational import (
     QMatrix,
     hnf_columns,
@@ -287,7 +288,7 @@ def test_equal_values_from_differently_scaled_inputs_are_equal(rng):
         assert_lowest_terms(m)
         s = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
         for same in (m.scale(s).scale(1 / s), (m + m).scale(Fraction(1, 2)),
-                     qm([[str(x) for x in row] for row in a], c),
+                     _matrix([[str(x) for x in row] for row in a], "m", r, c),
                      QMatrix.from_columns(m.columns(), rows=r),
                      m @ QMatrix.identity(c), m.transpose().transpose()):
             assert same == m and hash(same) == hash(m)
