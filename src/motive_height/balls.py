@@ -9,9 +9,10 @@ products form their midpoints and radius terms exactly; a quotient adds its
 exact move |a - mid b| / |b| to the propagated bound; ``sqrt`` encloses
 correctly rounded directed endpoints, and ``log``, ``exp`` and ``pi``, which
 mpmath rounds faithfully but not correctly, move their directed endpoints
-one more ulp outward.  An operation on exact balls whose exact result fits
-the working precision therefore stays exact, so identities like
-h(Q(0)) = 0 come out with radius literally zero.
+one more ulp outward; negation, and so conjugation, is an exact sign flip.
+An operation on exact balls whose exact result fits the working precision
+therefore stays exact, so identities like h(Q(0)) = 0 come out with radius
+literally zero.
 
 Determinants and solves run in one integer fixed-point elimination with
 radii counted in ulps: entries, scaled by powers of two, are Gaussian
@@ -179,10 +180,14 @@ class RealBall:
     @classmethod
     def from_decimal(cls, s: str, digits: int | None = None) -> "RealBall":
         """q ± |q| 10^-digits (± 10^-digits if q = 0) for a literal q in
-        Fraction's grammar certified to ``digits`` >= 0 digits, rounded once."""
+        Fraction's grammar certified to ``digits`` >= 0 digits, rounded once.
+        Far below an ulp, 10^-digits gives way to 2^-k <= 10^-digits."""
         n, d = parse_rational(s)
         if digits is None:
             return _rounded(n, 0, d, 0, 0)
+        k = digits * 332192809488736234787 // 10 ** 20  # 10^20 log2(10), rounded down
+        if k > 3 * _prec():
+            return _rounded(n, 0, d, abs(n) or d, -k)
         t = 10 ** digits
         return _rounded(n * t, 0, d * t, abs(n) or d, 0)
 
@@ -233,8 +238,10 @@ class RealBall:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return _ball(mpf_neg(self.mid._mpf_), self.rad._mpf_)
+    def __neg__(self):  # an exact sign flip, with no rounding
+        ball = RealBall.__new__(RealBall)
+        ball.mid, ball.rad = mp.make_mpf(mpf_neg(self.mid._mpf_)), self.rad
+        return ball
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -566,6 +573,19 @@ def ball_lu_solve(a: BallMatrix, b: BallMatrix) -> BallMatrix:
     return tuple(tuple(_complex_ball(*_divide(re[j], im[j], rad[j], pivot, frac),
                                      col[j] - col[k] - frac) for j in range(len(a), len(re)))
                  for k, ((re, im, rad), pivot) in enumerate(zip(rows, pivots)))
+
+
+def det_norm2(a: BallMatrix) -> tuple[int, int, int]:
+    """|det a|^2 as integers (lo, hi, e) with lo 2^e <= |det a|^2 <= hi 2^e:
+    a pivot disk p +- r, with N = |p|^2 and s = isqrt N <= |p| < s + 1, puts
+    |P|^2 in [max(N - 2r(s + 1) + r^2, (s - r)^2), N + 2r(s + 1) + r^2], whose
+    lower end is >= 1 as s > r is certified, and which is N when r = 0."""
+    _, pivots, _, _, exp, _ = _eliminate(a)
+    lo = hi = 1
+    for _, _, r, norm, s in pivots:
+        lo *= max(norm - 2 * r * (s + 1) + r * r, (s - r) ** 2)
+        hi *= norm + 2 * r * (s + 1) + r * r
+    return lo, hi, 2 * exp
 
 
 def ball_det(a: BallMatrix) -> ComplexBall:

@@ -26,18 +26,19 @@ form,
 
     |ref| = |det P|^a * prod_{a<r<b} |D_r|^{1/2}.
 
-The D_r are ball determinants, so the metric carries a certified radius by
-plain ball propagation.  A D_r whose ball contains zero is decided exactly
-when every entry of its matrix is known exactly (an exact ball, or a ball
-made from a Gaussian rational times a power of 2 pi i): an exactly
-vanishing D_r means the structure is not pure.  Otherwise the working precision cannot tell, and
-PrecisionExhausted is raised.
+Each |D_r|^2 is an integer interval read off the pivot norms of one ball
+elimination, so the metric needs one pair of integer fourth roots.  A D_r
+is zero only by the exact test, when some pivot is not certified nonzero and
+every entry is known exactly (an exact ball, or a Gaussian rational times a
+power of 2 pi i); an exactly vanishing D_r means the structure is not pure.
+Otherwise the working precision cannot tell: PrecisionExhausted is raised.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isqrt
 from typing import Sequence
 
 from .balls import (
@@ -46,10 +47,10 @@ from .balls import (
     PrecisionExhausted,
     RealBall,
     ZeroVector,
-    ball_det,
     ball_lu_solve,
     ball_matrix,
     current_bits,
+    det_norm2,
 )
 from .rational import QMatrix
 
@@ -128,9 +129,9 @@ def _exactly_singular(m: BallMatrix) -> bool:
     return True
 
 
-def _opposition_dets(h: HodgeStructure) -> dict[int, ComplexBall]:
-    """D_r for a <= r < b, cached per precision; an exactly vanishing D_r is
-    an exact zero.  Requires the dimension test of ``purity_check``."""
+def _opposition_dets(h: HodgeStructure) -> dict[int, tuple[int, int, int] | None]:
+    """|D_r|^2 by ``det_norm2`` for a <= r < b, cached per precision; None is
+    an exactly vanishing D_r.  Requires the dimension test of ``purity_check``."""
     key = ("dets", current_bits())
     if key not in h._cache:
         lo, hi = h.window()
@@ -138,13 +139,13 @@ def _opposition_dets(h: HodgeStructure) -> dict[int, ComplexBall]:
         for r in range(lo, hi):
             m = _opposition_matrix(h, r)
             try:
-                dets[r] = ball_det(m)
+                dets[r] = det_norm2(m)
             except PrecisionExhausted:
                 if not _exactly_singular(m):
                     raise PrecisionExhausted(
                         f"D_{r} = det[F^{r} | conj F^{h.weight + 1 - r}] cannot be "
                         f"certified nonzero at {current_bits()} bits") from None
-                dets[r] = ComplexBall.zero()
+                dets[r] = None
         h._cache[key] = dets
     return h._cache[key]
 
@@ -165,30 +166,35 @@ def purity_check(h: HodgeStructure) -> PurityReport:
 
     First the exact test dim F^r + dim F^{w+1-r} = n (for a <= r <= b, which
     covers every r), then D_r != 0 for a <= r < b.  Raises PrecisionExhausted
-    when a D_r ball contains zero and its entries are not all known exactly.
+    when a D_r can neither be certified nonzero nor shown to vanish exactly.
     """
-    dims = h.dims()
-    if h.n == 0:
-        return PurityReport(True, dims, ["rank zero: vacuous"])
-    lo, hi = h.window()
-    w = h.weight
-    messages = []
-    for r in range(lo, hi + 1):
-        total = h.filtration_dim(r) + h.filtration_dim(w + 1 - r)
-        if total != h.n:
-            messages.append(f"dim F^{r} + dim F^{w + 1 - r} = {total}, expected {h.n}")
-    if not messages:
-        for r, d in _opposition_dets(h).items():
-            if d.contains_zero():
-                messages.append("the adapted basis is singular" if r == lo else
-                                f"F^{r} meets conj F^{w + 1 - r}: D_{r} = 0")
-    return PurityReport(not messages, dims, messages)
+    messages = _impurity(h)
+    return PurityReport(not messages, h.dims(), list(messages) if h.n else ["rank zero: vacuous"])
+
+
+def _impurity(h: HodgeStructure) -> tuple[str, ...]:
+    """Why F is not pure (nothing when it is), decided once per precision."""
+    key = ("purity", current_bits())
+    if key not in h._cache:
+        lo, hi = h.window()
+        w = h.weight
+        messages = []
+        for r in range(lo, hi + 1):
+            total = h.filtration_dim(r) + h.filtration_dim(w + 1 - r)
+            if total != h.n:
+                messages.append(f"dim F^{r} + dim F^{w + 1 - r} = {total}, expected {h.n}")
+        if not messages:
+            for r, d in _opposition_dets(h).items():
+                if d is None:
+                    messages.append("the adapted basis is singular" if r == lo else
+                                    f"F^{r} meets conj F^{w + 1 - r}: D_{r} = 0")
+        h._cache[key] = tuple(messages)
+    return h._cache[key]
 
 
 def _require_pure(h: HodgeStructure) -> None:
-    report = purity_check(h)
-    if not report.ok:
-        raise ValueError(f"not a pure Hodge structure: {report.messages}")
+    if _impurity(h):
+        raise ValueError(f"not a pure Hodge structure: {list(_impurity(h))}")
 
 
 @dataclass
@@ -244,24 +250,36 @@ def line_metric(h: HodgeStructure,
     """Canonical metric of an element of L(H) = tensor_r (det gr^r)^{x r}.
 
     ``target`` is a scalar c, meaning c times the tensor of the gr^r
-    reference wedges.  Returns
-    |c| * |det P|^a * prod_{a<r<b} |D_r|^{1/2} as a certified ball.
+    reference wedges.  Returns |c| * |det P|^a * prod_{a<r<b} |D_r|^{1/2} as a
+    ball from the floor and the ceiling of the fourth roots of the ends of one
+    integer interval for |c|^4 |D_a|^{4a} prod |D_r|^2, an int or Fraction c
+    taken exactly; a ball c multiplies the metric of 1.
     """
-    c = target if isinstance(target, ComplexBall) else ComplexBall(target)
-    if c.contains_zero():
+    if not isinstance(target, (int, Fraction)):
+        z = target if isinstance(target, ComplexBall) else ComplexBall(target)
+        if z.contains_zero():
+            raise ZeroVector("target vanishes")
+        return z.abs_ball() * line_metric(h)
+    if not target:
         raise ZeroVector("target vanishes")
-    coeff = c.abs_ball()
-    if h.n == 0:
-        return coeff
-
+    c = Fraction(target)
     _require_pure(h)
-    dets = _opposition_dets(h)
-    lo, _ = h.window()
-    paired = RealBall.one()
-    for r, d in dets.items():
-        if r > lo:
-            paired = paired * d.abs_ball()
-    return coeff * dets[lo].abs_ball() ** lo * paired.sqrt()
+    a, _ = h.window()
+    # |metric|^4 lies in [num[0] / den[1], num[1] / den[0]] 2^e
+    num, den, e = [c.numerator ** 4] * 2, [c.denominator ** 4] * 2, 0
+    for r, (lo, hi, ex) in _opposition_dets(h).items():
+        k = 2 * a if r == a else 1
+        side = num if k >= 0 else den
+        side[0], side[1], e = side[0] * lo ** abs(k), side[1] * hi ** abs(k), e + k * ex
+    # roots of current_bits() + 64 bits, more than a ball's mantissa: ulp 2^-t
+    t = current_bits() + 64 - ((num[1].bit_length() - den[0].bit_length() + e) >> 2)
+    s = 4 * t + e
+    low = (num[0] << s) // den[1] if s >= 0 else num[0] // (den[1] << -s)
+    high = -(-(num[1] << s) // den[0]) if s >= 0 else -(-num[1] // (den[0] << -s))
+    root_lo, root_hi = isqrt(isqrt(low)), isqrt(isqrt(high))
+    root_hi += root_hi ** 4 < high
+    half_ulp = Fraction(2) ** (-t - 1)
+    return RealBall((root_lo + root_hi) * half_ulp, (root_hi - root_lo) * half_ulp)
 
 
 def direct_sum(a: HodgeStructure, b: HodgeStructure) -> HodgeStructure:

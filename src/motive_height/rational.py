@@ -299,6 +299,8 @@ def is_prime(n: int) -> bool:
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % q == 0:
             return n == q
+    if n < 41 * 41:  # a composite n has a prime factor <= sqrt(n)
+        return True
     # deterministic Miller-Rabin for n < 3.3e24
     d, s = n - 1, 0
     while d % 2 == 0:

@@ -1,13 +1,14 @@
 import operator
 import random
+import time
 from fractions import Fraction
 from math import isqrt
 
 import pytest
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, from_rational, round_nearest, round_up
 
-from motive_height import cli, hodge
+from motive_height import balls, cli, hodge
 from motive_height.balls import (
     ComplexBall,
     PrecisionExhausted,
@@ -15,6 +16,7 @@ from motive_height.balls import (
     ball_det,
     ball_lu_solve,
     ball_matrix,
+    det_norm2,
     rational_ball_mul,
     working_precision,
 )
@@ -133,13 +135,15 @@ def test_exact_dyadic_operations_enclose_truth():
 
 def test_wide_midpoint_passes_through_unrounded():
     # a ball made exact at 256 bits, then negated, taken in absolute value,
-    # conjugated or re-wrapped at 128 bits, must still contain its value
+    # conjugated or re-wrapped at 128 bits, must still contain its value;
+    # negation and conjugation are exact sign flips, so they keep it exactly
     with working_precision(256):
         b = RealBall(1, 0) + RealBall(mpf(2) ** -200, 0)
     truth = 1 + Fraction(1, 2 ** 200)
     assert b.exact_fraction() == truth
     with working_precision(128):
         z = ComplexBall(b, b)
+        assert (-b).exact_fraction() == z.conj().im.exact_fraction() == -truth
         cases = [(-b, -truth), (abs(b), truth), (abs(-b), truth),
                  (RealBall(b.mid, b.rad), truth), (z.conj().im, -truth),
                  ((-z).re, -truth)]
@@ -245,6 +249,33 @@ def test_string_midpoint_rejected():
     mid = RealBall(ball.mid).exact_fraction()
     rad = RealBall(ball.rad).exact_fraction()
     assert 0 < rad and abs(mid - Fraction(1, 10)) <= rad
+
+
+def test_decimal_radius_up_to_60_digits_and_past_the_precision():
+    # up to 60 digits, q certified to d digits is the exact q +- |q| 10^-d
+    # (10^-d for q = 0) with its midpoint rounded to nearest and the move
+    # added to the radius, rounded up once
+    texts = ["0.38137988175090659403116299048180789664631461867404", "-3e-7", "0", "22/7"]
+    for bits in (64, 128, 256):
+        with working_precision(bits):
+            prec = bits + balls._GUARD_BITS
+            for text in texts:
+                q = Fraction(text)
+                mid = from_rational(q.numerator, q.denominator, prec, round_nearest)
+                for d in range(61):
+                    rad = (abs(q) or 1) / Fraction(10) ** d + abs(q - fraction(mp.make_mpf(mid)))
+                    ball = RealBall.from_decimal(text, d)
+                    assert ball.mid._mpf_ == mid
+                    assert ball.rad._mpf_ == from_rational(rad.numerator, rad.denominator,
+                                                           prec, round_up)
+    # a million digits: no 10^d is built, and the ball still holds
+    # q +- |q| 2^-k, with 2^k <= 10^d
+    d, q = 10 ** 6, Fraction(texts[0])
+    start = time.perf_counter()
+    ball = RealBall.from_decimal(texts[0], d)
+    assert time.perf_counter() - start < 1
+    k = (10 ** d).bit_length() - 1
+    assert fraction(ball.rad) - abs(q - fraction(ball.mid)) >= q / 2 ** k
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +397,15 @@ def test_exact_identities_of_the_transcendental_operations():
 
 
 # ---------------------------------------------------------------------------
-# the fixed-point elimination kernel behind ball_det and ball_lu_solve
+# the fixed-point elimination kernel behind ball_det, det_norm2 and ball_lu_solve
 # ---------------------------------------------------------------------------
+
+def norm2_contains(bounds, det) -> bool:
+    """|det|^2 lies in det_norm2's [lo, hi] 2^e, for an exact Gaussian det."""
+    lo, hi, e = bounds
+    scale = Fraction(2) ** e
+    return 1 <= lo <= hi and lo * scale <= det[0] ** 2 + det[1] ** 2 <= hi * scale
+
 
 def _random_entry(rng, exp2):
     """A complex ball of magnitude about 2^exp2 and its exact value: either
@@ -400,12 +438,12 @@ def test_kernel_encloses_exact_det_and_solve():
         exact_b = [[v for _, v in row[n:]] for row in rows]
         with working_precision(rng.choice([64, 128, 256])):
             try:
-                d, x = ball_det(a), ball_lu_solve(a, b)
+                d, x, norm2 = ball_det(a), ball_lu_solve(a, b), det_norm2(a)
             except PrecisionExhausted:
                 continue
         certified += 1
         det, truth = gsolve(exact_a, exact_b)
-        assert ball_contains(d, det)
+        assert ball_contains(d, det) and norm2_contains(norm2, det)
         assert all(ball_contains(x[i][j], truth[i][j]) for i in range(n) for j in range(m))
     assert certified >= 45
 
@@ -460,8 +498,10 @@ def test_exact_triangular_det_has_radius_zero():
         for i in range(n):
             rows[i][i] = (Fraction(rng.choice([-3, -1, 1, 2, 5])), Fraction(rng.randint(-4, 4)))
         rng.shuffle(rows)
-        d = ball_det(tuple(tuple(ComplexBall.from_rationals(*v) for v in row) for row in rows))
-        assert d.is_exact() and d.exact_value() == {0: gdet(rows)}
+        a = tuple(tuple(ComplexBall.from_rationals(*v) for v in row) for row in rows)
+        d, (lo, hi, e), det = ball_det(a), det_norm2(a), gdet(rows)
+        assert d.is_exact() and d.exact_value() == {0: det}
+        assert lo == hi and lo * Fraction(2) ** e == det[0] ** 2 + det[1] ** 2
 
 
 
@@ -484,6 +524,7 @@ def test_kernel_counts_every_dropped_bit_of_exact_data():
                 for _ in range(n)]
         exact = [[(z.re.exact_fraction(), z.im.exact_fraction()) for z in row] for row in rows]
         assert ball_contains(ball_det(tuple(rows)), gdet(exact))
+        assert norm2_contains(det_norm2(tuple(rows)), gdet(exact))
 
 
 
@@ -519,6 +560,7 @@ def test_factor_rounding_is_counted_after_pivot_row_growth():
         for n, d, s, v in ((8, 7, 6, -8), (10, 3, 2, -84), (10, 7, 6, -36), (10, 11, 10, -22)):
             rows = _growth_matrix(n, d, s, v)
             assert ball_contains(ball_det(balls(rows)), gdet(rows))
+            assert norm2_contains(det_norm2(balls(rows)), gdet(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,11 @@ from motive_height.balls import (
     PrecisionExhausted,
     RealBall,
     ZeroVector,
+    ball_det,
     working_precision,
 )
+from motive_height import hodge, motive
+from motive_height.documents import example_document, parse_motive
 from motive_height.hodge import (
     HodgeStructure,
     direct_sum,
@@ -110,6 +114,61 @@ def test_opposition_det_ball_containing_zero_raises():
         purity_check(h)
     with pytest.raises(PrecisionExhausted):
         line_metric(h)
+
+
+def test_certified_pivots_make_a_pure_structure():
+    # entries k/7 +- 1/100: every pivot of det P is certified nonzero, but
+    # the rectangle of ball_det contains zero.  Only the exact test may call
+    # a D_r zero, so the structure is pure and its metric positive.
+    rng = random.Random(2)
+
+    def entry():
+        return ComplexBall(*(RealBall(Fraction(rng.randint(-49, 49), 7), Fraction(1, 100))
+                             for _ in "ri"))
+
+    for _ in range(23):
+        basis = [[entry() for _ in range(6)] for _ in range(6)]
+    assert ball_det(tuple(map(tuple, basis))).contains_zero()
+    h = HodgeStructure(-1, [-1] * 3 + [0] * 3, basis)
+    assert purity_check(h).ok
+    assert line_metric(h).lower > 0
+
+
+def test_purity_decided_once_per_structure_and_precision(monkeypatch):
+    calls = {"purity": 0, "dets": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    purity = counting("purity", hodge.purity_check)
+    monkeypatch.setattr(hodge, "purity_check", purity)
+    monkeypatch.setattr(motive, "purity_check", purity)
+    monkeypatch.setattr(hodge, "det_norm2", counting("dets", hodge.det_norm2))
+    m = parse_motive(example_document("elliptic:square"))
+    motive.height(m)
+    motive.height(m)
+    assert calls == {"purity": 1, "dets": 2}  # D_-1 and D_0
+    with working_precision(256):
+        motive.height(m)
+    assert calls == {"purity": 1, "dets": 4}
+
+
+def test_metric_reads_no_scalar_chain(monkeypatch):
+    # |metric|^4 is one integer interval: no |D_r| is built as a ball, and
+    # at most one ball root is taken
+    calls = {"abs_ball": 0, "sqrt": 0}
+    for cls, name in ((ComplexBall, "abs_ball"), (RealBall, "sqrt")):
+        def wrapper(self, fn=getattr(cls, name), name=name):
+            calls[name] += 1
+            return fn(self)
+        monkeypatch.setattr(cls, name, wrapper)
+    h = parse_motive(example_document("elliptic:square")).hodge_structure()
+    assert h.n == 2
+    line_metric(h, 1)
+    assert calls["abs_ball"] == 0 and calls["sqrt"] <= 1
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,17 @@ def test_vp_and_primality():
     assert is_prime(2) and is_prime(97) and not is_prime(91) and not is_prime(1)
 
 
+def test_is_prime_matches_a_sieve():
+    # below 41^2 trial division alone decides; above it, Miller-Rabin
+    n = 10 ** 5
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+    assert [k for k in range(-5, n) if is_prime(k)] == [k for k in range(n) if sieve[k]]
+
+
 def test_empty_shapes_survive_transpose_and_products():
     k_by_0 = QMatrix.zeros(3, 0)
     assert (k_by_0.transpose().rows, k_by_0.transpose().cols) == (0, 3)
