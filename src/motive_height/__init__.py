@@ -19,8 +19,6 @@ from .rational import QMatrix, smith_normal_form
 from .lines import (
     Lattice,
     MetrizedLine,
-    MissingMetric,
-    ValuationMap,
     intersect_adelic,
     line_tensor,
 )

@@ -218,8 +218,10 @@ def cmd_batch(args) -> int:
     paths = _batch_paths(args.documents)
     window = _parse_window(args.window)
     payloads = [(path, args.precision, window) for path in paths]
-    if args.jobs > 1 and len(paths) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # the pool forks all its workers on the first task: none beyond the documents
+    jobs = min(_at_least(args.jobs, 1, "--jobs"), len(paths))
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_batch_worker, payloads))
     else:
         results = [_batch_worker(p) for p in payloads]

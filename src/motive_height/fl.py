@@ -268,7 +268,7 @@ class LocalLatticeSpec:
 
     p: int
     window: tuple[int, int]
-    v: tuple[tuple[int, int], ...]  # sorted (r, valuation) pairs on [a, b]
+    v: tuple[tuple[int, int], ...]  # (r, valuation) for r = a, a + 1, ..., b
     provenance: str  # computed-from-FL | explicit-override | default-good
 
     @classmethod
@@ -292,8 +292,7 @@ class LocalLatticeSpec:
 
     def value(self, r: int) -> int:
         a, b = self.window
-        r = min(max(r, a), b)  # stabilized outside the window
-        return dict(self.v)[r]
+        return self.v[min(max(r, a), b) - a][1]  # stabilized outside the window
 
 
 def local_valuations(m: FilPhiModule) -> LocalLatticeSpec:

@@ -52,6 +52,7 @@ from .balls import (
     current_bits,
     det_norm2,
 )
+from .fl import merge_by_level
 from .rational import QMatrix
 
 
@@ -284,19 +285,18 @@ def line_metric(h: HodgeStructure,
 
 def direct_sum(a: HodgeStructure, b: HodgeStructure) -> HodgeStructure:
     """Block direct sum, columns re-interleaved so levels stay sorted
-    (a's columns precede b's within each level)."""
+    (a's columns precede b's within each level), as fl.merge_by_level orders
+    the p-adic direct sum."""
     if a.weight != b.weight:
         raise ValueError("direct sum requires equal weights")
     n = a.n + b.n
-    tagged = [(a.levels[j], 0, j) for j in range(a.n)] + \
-             [(b.levels[j], 1, j) for j in range(b.n)]
-    tagged.sort(key=lambda t: (t[0], t[1]))
-    cols = []
-    for level, side, j in tagged:
+    cols, levels = [], []
+    for side, j in merge_by_level(a.levels, b.levels):
         src, offset = (a, 0) if side == 0 else (b, a.n)
         col = [ComplexBall.zero()] * n
         for i in range(src.n):
             col[offset + i] = src.basis[i][j]
         cols.append(col)
+        levels.append(src.levels[j])
     basis = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-    return HodgeStructure(a.weight, [t[0] for t in tagged], basis)
+    return HodgeStructure(a.weight, levels, basis)

@@ -1,4 +1,4 @@
-"""Lattices in Q^n, adelic valuation data, and metrized determinant lines.
+"""Lattices in Q^n, adelic intersections, and metrized determinant lines.
 
 A full-rank lattice is stored as the canonical Hermite form of any matrix
 of generators, so equality is plain comparison.  One-dimensional integral
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from .balls import RealBall
 from .rational import QMatrix, diagonal_valuations, hnf_rational, is_prime
@@ -18,10 +18,6 @@ from .rational import QMatrix, diagonal_valuations, hnf_rational, is_prime
 
 class NotSublattice(ValueError):
     """The claimed inner lattice is not contained in the outer one at p."""
-
-
-class MissingMetric(ValueError):
-    """A metric was requested from a line with no archimedean data attached."""
 
 
 class Lattice:
@@ -79,100 +75,50 @@ def quotient_lattice_valuation(outer: Lattice, inner: Lattice, p: int) -> int:
     return sum(diagonal_valuations(inner.basis, p)) - sum(diagonal_valuations(outer.basis, p))
 
 
-class ValuationMap:
-    """Finitely supported map prime -> integer exponent (zero entries dropped)."""
-
-    __slots__ = ("_v",)
-
-    def __init__(self, entries: Mapping[int, int] | None = None):
-        v = {}
-        for p, e in (entries or {}).items():
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
-            e = int(e)
-            if e:
-                v[int(p)] = e
-        self._v = dict(sorted(v.items()))
-
-    def __getitem__(self, p: int) -> int:
-        return self._v.get(p, 0)
-
-    def items(self):
-        return self._v.items()
-
-    def support(self):
-        return tuple(self._v)
-
-    def __eq__(self, other):
-        return isinstance(other, ValuationMap) and self._v == other._v
-
-    def __add__(self, other: "ValuationMap") -> "ValuationMap":
-        merged = dict(self._v)
-        for p, e in other.items():
-            merged[p] = merged.get(p, 0) + e
-        return ValuationMap(merged)
-
-    def __repr__(self):
-        return f"ValuationMap({self._v})"
-
-
-def intersect_adelic(v: ValuationMap) -> Fraction:
+def intersect_adelic(v: Mapping[int, int]) -> Fraction:
     """Positive rational generator of the global lattice with local
-    valuation v(p) at every prime p (the intersection of Q with the given
-    adelic lattice inside the finite adeles)."""
+    valuation v[p] at every prime p (the intersection of Q with the given
+    adelic lattice inside the finite adeles); absent primes have v = 0."""
     q = Fraction(1)
     for p, e in v.items():
-        q *= Fraction(p) ** e
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if e:
+            q *= Fraction(p) ** e
     return q
 
 
 @dataclass(frozen=True)
 class MetrizedLine:
     """One-dimensional Q-vector space with reference generator ``label``,
-    integral structure lattice = lattice_scalar * Z * ref, and (optionally)
-    a certified metric value |ref|."""
+    integral structure lattice = lattice_scalar * Z * ref, and the certified
+    metric value |ref|."""
 
     label: str
     lattice_scalar: Fraction
-    metric_ref: Optional[RealBall] = None
+    metric_ref: RealBall
 
     def __post_init__(self):
         if self.lattice_scalar <= 0:
             raise ValueError("lattice_scalar must be positive")
 
-    def metric(self) -> RealBall:
-        if self.metric_ref is None:
-            raise MissingMetric(f"line {self.label!r} carries no metric")
-        return self.metric_ref
-
-    def has_metric(self) -> bool:
-        return self.metric_ref is not None
-
     def generator_norm(self) -> RealBall:
         """|e| for e = lattice_scalar * ref, the Z-basis of the lattice."""
-        return RealBall(self.lattice_scalar) * self.metric()
+        return RealBall(self.lattice_scalar) * self.metric_ref
 
 
 def line_tensor(factors: Sequence[tuple[MetrizedLine, int]]) -> MetrizedLine:
-    """Tensor product of metrized lines with integer exponents.
-
-    lattice scalars multiply as q_i^{e_i}; metrics likewise with ball
-    propagation.  If any factor with nonzero exponent lacks a metric the
-    result carries none (querying it raises MissingMetric).
-    """
+    """Tensor product of metrized lines with integer exponents: lattice
+    scalars multiply as q_i^{e_i}, metrics likewise with ball propagation."""
     scalar = Fraction(1)
-    metric: Optional[RealBall] = RealBall.one()
+    metric = RealBall.one()
     parts = []
     for line, e in factors:
         e = int(e)
         if e == 0:
             continue
         scalar *= line.lattice_scalar ** e
+        metric = metric * line.metric_ref ** e
         parts.append(f"({line.label})^{e}" if e != 1 else f"({line.label})")
-        if metric is not None:
-            if line.has_metric():
-                metric = metric * line.metric() ** e
-            else:
-                metric = None
     label = " ⊗ ".join(parts) if parts else "1"
     return MetrizedLine(label, scalar, metric)

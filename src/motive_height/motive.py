@@ -30,7 +30,7 @@ from .balls import ComplexBall, RealBall, ball_matrix, rational_ball_mul
 from . import fl as fl_mod
 from .fl import FilPhiModule, LocalLatticeSpec, standard_module
 from .hodge import HodgeStructure, line_metric, purity_check
-from .lines import Lattice, MetrizedLine, ValuationMap, intersect_adelic
+from .lines import Lattice, MetrizedLine, intersect_adelic
 from .rational import QMatrix, is_prime, prime_factors, vp
 
 
@@ -238,8 +238,7 @@ def global_lattice(m: MotiveData, r: int) -> Fraction:
     reference generator of det(M_dR / M^r_dR): the product over p of
     p^{v_p(r)} with v from the local data (default zero)."""
     _require_valid(m)
-    v = ValuationMap({p: m.local_spec(p).value(r) for p in m.local})
-    return intersect_adelic(v)
+    return intersect_adelic({p: m.local_spec(p).value(r) for p in m.local})
 
 
 def _window_for(m: MotiveData, window) -> tuple[int, int]:
@@ -253,16 +252,26 @@ def _window_for(m: MotiveData, window) -> tuple[int, int]:
     return (a, b)
 
 
+def _height_line(m: MotiveData, a: int, b: int):
+    """L(M) over the window [a, b] and its nonzero (p, r, v_p(r)), from one
+    read of each prime's valuations.  The lattice scalar is
+    L_b^{b-1} / prod_{a<r<b} L_r, so its exponent at p is
+    (b - 1) v_p(b) - sum_{a<r<b} v_p(r)."""
+    exponents, contributions = {}, []
+    for p in m.local:
+        spec = m.local_spec(p)
+        values = [spec.value(r) for r in range(a, b + 1)]
+        contributions += [(p, a + i, v) for i, v in enumerate(values) if v]
+        exponents[p] = (b - 1) * values[-1] - sum(values[1:-1])
+    metric = line_metric(m.hodge_structure(), 1) if m.rank else RealBall.one()
+    line = MetrizedLine(f"L({m.label})", intersect_adelic(exponents), metric)
+    return line, tuple(contributions)
+
+
 def assemble_height_line(m: MotiveData, window=None) -> MetrizedLine:
     """The metrized line L(M) with its windowed integral structure."""
     _require_valid(m)
-    a, b = _window_for(m, window)
-    g = {i: global_lattice(m, i) for i in range(a, b + 1)}
-    scalar = g[b] ** (b - 1)
-    for i in range(a + 1, b):
-        scalar /= g[i]
-    metric = line_metric(m.hodge_structure(), 1) if m.rank else RealBall.one()
-    return MetrizedLine(f"L({m.label})", scalar, metric)
+    return _height_line(m, *_window_for(m, window))[0]
 
 
 @dataclass
@@ -281,22 +290,15 @@ def height(m: MotiveData, window=None) -> HeightReport:
     """Logarithmic height h(M) = -log |e|, e a generator of L(M)_Z."""
     _require_valid(m)
     a, b = _window_for(m, window)
-    line = assemble_height_line(m, (a, b))
+    line, contributions = _height_line(m, a, b)
     norm = line.generator_norm()
     h_ball = -(norm.log())
     mult = RealBall.one() / norm
-    contributions = []
-    for p in sorted(m.local):
-        spec = m.local_spec(p)
-        for r in range(a, b + 1):
-            v = spec.value(r)
-            if v:
-                contributions.append((p, r, v))
     warnings = ()
     if window is not None and (a, b) != m.window:
         warnings = (f"window overridden to ({a}, {b})",)
     return HeightReport(m.label, (a, b), h_ball, mult, norm,
-                        line.lattice_scalar, tuple(contributions), warnings)
+                        line.lattice_scalar, contributions, warnings)
 
 
 # ---------------------------------------------------------------------------

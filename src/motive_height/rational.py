@@ -25,6 +25,9 @@ _RATIONAL_FORMAT = re.compile(r"""
     (?:(?:/(?P<denom>\d+(_\d+)*))?
      |(?:\.(?P<decimal>d*|\d+(_\d+)*))?(?:E(?P<exp>[-+]?\d+(_\d+)*))?)
     \s*\Z""", re.VERBOSE | re.IGNORECASE)
+# decimal exponents past this are refused before 10^|e| is formed; int()
+# bounds digit strings at the same 4300
+_MAX_EXPONENT = 4300
 
 
 def parse_rational(s: str) -> tuple[int, int]:
@@ -36,7 +39,10 @@ def parse_rational(s: str) -> tuple[int, int]:
     if m is None or m["denom"] is not None and not int(m["denom"]):
         raise ValueError(f"invalid rational literal {s!r}")
     places = (m["decimal"] or "").replace("_", "")
-    e = int(m["exp"] or "0") - len(places)
+    e = int(m["exp"] or "0")
+    if abs(e) > _MAX_EXPONENT:
+        raise ValueError(f"exponent of {s!r} exceeds {_MAX_EXPONENT} in magnitude")
+    e -= len(places)
     n = int((m["num"] or "0") + places) * 10 ** max(e, 0)
     return (-n if m["sign"] == "-" else n), int(m["denom"] or "1") * 10 ** max(-e, 0)
 

@@ -278,6 +278,19 @@ def test_decimal_radius_up_to_60_digits_and_past_the_precision():
     assert fraction(ball.rad) - abs(q - fraction(ball.mid)) >= q / 2 ** k
 
 
+def test_decimal_exponent_is_bounded_before_ten_to_it_is_formed():
+    # |e| <= 4300 parses exactly as Fraction reads it; past that, a
+    # ValueError comes at once instead of a 10^e of a million digits
+    for text in ("1e4300", "-2.5E-4300", "7e+0", "1_0e4_300"):
+        ball = RealBall.from_decimal(text)
+        assert abs(fraction(ball.mid) - Fraction(text)) <= fraction(ball.rad)
+    for text in ("1e4301", "1e1000000", "1e-1000000", "0.0e-99999"):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exceeds 4300 in magnitude"):
+            RealBall.from_decimal(text, 45)
+        assert time.perf_counter() - start < 1
+
+
 # ---------------------------------------------------------------------------
 # the one rounding rule of the scalar operations
 # ---------------------------------------------------------------------------

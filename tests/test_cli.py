@@ -1,10 +1,12 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from mpmath import mp, mpf
 
+from motive_height import cli
 from motive_height.cli import build_parser, main
 from motive_height.documents import canonical_bytes, example_document
 
@@ -221,6 +223,39 @@ def test_batch_order_and_parallel_determinism(capsys, tmp_path):
     assert lines[4].startswith("elliptic:square\t")
 
 
+def test_batch_pool_is_no_larger_than_the_batch(capsys, tmp_path, monkeypatch):
+    # the pool forks all its workers on the first submit, so it is sized by
+    # the documents too; a stand-in records the size and starts no process
+    sizes = []
+
+    class Recording:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recording)
+    paths = [write_example(tmp_path, n) for n in ("tate:1", "tate:0", "elliptic:square")]
+    code, seq, _ = run_cli(capsys, "batch", *paths)
+    assert code == 0 and sizes == []
+    for jobs, size in (("2", 2), ("3", 3), ("64", 3)):
+        assert run_cli(capsys, "batch", "--jobs", jobs, *paths) == (0, seq, "")
+        assert sizes.pop() == size
+    assert run_cli(capsys, "batch", "--jobs", "64", paths[0])[0] == 0
+    assert sizes == []
+    for jobs in ("0", "-3"):
+        assert run_cli(capsys, "batch", "--jobs", jobs, *paths) == \
+            (3, "", f"malformed input: --jobs: expected an integer >= 1, got {jobs}\n")
+    assert sizes == []
+
+
 def test_batch_directory_input(capsys, tmp_path):
     write_example(tmp_path, "tate:0", "a.json")
     write_example(tmp_path, "tate:1", "b.json")
@@ -319,6 +354,20 @@ def test_malformed_integer_fields_exit3(capsys, tmp_path, case):
     path.write_bytes(canonical_bytes(_broken_elliptic(change)))
     for command in ("validate", "height"):
         assert run_cli(capsys, command, str(path)) == (3, "", f"malformed input: {message}\n")
+
+
+@pytest.mark.parametrize("literal", ["1e1000000", "1e-1000000"])
+@pytest.mark.parametrize("field, change", [
+    ("period[0][1].re", lambda doc, x: doc["period"][0][1].__setitem__("re", x)),
+    ("local[p=3].phi", lambda doc, x: doc["local"][0]["fl"]["phi"][0].__setitem__(0, x)),
+])
+def test_huge_decimal_exponent_exits3_at_once(capsys, tmp_path, field, change, literal):
+    path = tmp_path / "bad.json"
+    path.write_bytes(canonical_bytes(_broken_elliptic(lambda doc: change(doc, literal))))
+    start = time.perf_counter()
+    assert run_cli(capsys, "height", str(path)) == \
+        (3, "", f"malformed input: {field}: exponent of {literal!r} exceeds 4300 in magnitude\n")
+    assert time.perf_counter() - start < 1
 
 
 def test_batch_prints_good_rows_around_a_malformed_integer(capsys, tmp_path):

@@ -75,6 +75,28 @@ def test_height_decides_strong_divisibility_once_per_module(monkeypatch):
     assert sorted(calls) == [3, 5]
 
 
+def test_height_reads_the_local_data_in_one_pass(monkeypatch):
+    from motive_height import motive
+
+    calls = {"validate": 0, "intersect_adelic": 0}
+
+    def counting(name):
+        original = getattr(motive, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    m = parse_motive(example_document("elliptic:square"))
+    for name in calls:
+        monkeypatch.setattr(motive, name, counting(name))
+    report = height(m)
+    assert calls["validate"] <= 2
+    assert calls["intersect_adelic"] == 1
+    assert report.lattice_scalar == 1 and report.per_prime == ()
+
+
 def test_tate_twist_decides_strong_divisibility_once_per_module(monkeypatch):
     from motive_height import fl
 
