@@ -114,8 +114,8 @@ def _matrix(x, where: str, rows: int, cols: int | None = None) -> QMatrix:
         cols = len(_list(x[0], where)) if x else 0
     entries = [[_ratio(v, where) for v in _list(row, where, cols)] for row in x]
     den = lcm(*[d for row in entries for _, d in row])
-    return QMatrix._reduced(tuple(tuple([n * (den // d) for n, d in row]) for row in entries),
-                            den, cols)
+    return QMatrix.from_numerators(
+        tuple(tuple([n * (den // d) for n, d in row]) for row in entries), den, cols)
 
 
 def _decimal(x, where: str, digits: int | None) -> RealBall:

@@ -9,7 +9,9 @@ verifies the resulting exact identities: the integral line rescales by
 exactly p^{n s(U)}, the Betti lattice index accounts for the metric change,
 and the height is unchanged.  This triple of assertions is the strongest
 internal audit that the local integral structure really is the determinant
-of the lattice quotients.  Finally, the conductor-style quantity
+of the lattice quotients.  Kernels and preimages of lattices come from
+one Hermite form (``rational.integer_kernel``); ranks, saturation and
+equality at p come from one set of Smith divisors.  Finally, the conductor-style quantity
 n(M) = sum log p over bad primes is tabulated next to heights; no
 inequality between them is asserted.
 """
@@ -24,7 +26,7 @@ from .balls import RealBall, rational_ball_mul
 from .fl import FilPhiModule
 from .lines import Lattice
 from .motive import HeightReport, MotiveData, MotiveType, height, validate
-from .rational import QMatrix, hnf_rational, integer_kernel, smith_normal_form
+from .rational import QMatrix, integer_kernel, smith_normal_form, vp_int
 
 
 class IncompatibleSpec(ValueError):
@@ -130,30 +132,14 @@ def full_quotient_spec(m: MotiveData, p: int, exponent: int = 1) -> QuotientSpec
                         fl.phi_in_basis(), fil_u, exponent)
 
 
-def _coords_in(basis_matrix: QMatrix, cols: QMatrix) -> Optional[QMatrix]:
-    """Coordinates of ``cols`` in the (possibly non-square) basis matrix."""
-    k = basis_matrix.cols
-    if k == basis_matrix.rows:
-        return basis_matrix.solve(cols)
-    gram = basis_matrix.transpose() @ basis_matrix
-    rhs = basis_matrix.transpose() @ cols
-    coords = gram.solve(rhs)
-    if basis_matrix @ coords == cols:
-        return coords
-    return None
-
-
-def _contained_at_p(basis_matrix: QMatrix, cols: QMatrix, p: int) -> bool:
-    """``cols`` lie in the lattice spanned by ``basis_matrix``, localized at p."""
-    coords = _coords_in(basis_matrix, cols)
-    return coords is not None and coords.is_p_integral(p)
-
-
-def _saturated_at_p(coords: QMatrix, p: int) -> bool:
-    """The p-integral columns ``coords`` span a sublattice saturated at p: no
-    nonzero Smith divisor is divisible by p."""
-    divisors, _, _ = smith_normal_form(coords.numerators())
-    return not any(d and d % p == 0 for d in divisors)
+def _rank_and_index(m: QMatrix, p: int) -> tuple[int, int]:
+    """(rank, v_p-index) of the lattice L spanned by the columns of m: the
+    count of nonzero Smith divisors of den * m, and v_p of their product less
+    rank * v_p(den), which is v_p of the (rational) index of L in the
+    saturated QL cap Z^k.  A lattice inside another of the same rank and
+    v_p-index equals it at p."""
+    nonzero = [d for d in smith_normal_form(m.numerators()) if d]
+    return len(nonzero), sum(vp_int(d, p) for d in nonzero) - len(nonzero) * vp_int(m.den, p)
 
 
 def validate_spec(m: MotiveData, spec: QuotientSpec) -> None:
@@ -177,12 +163,10 @@ def validate_spec(m: MotiveData, spec: QuotientSpec) -> None:
         raise IncompatibleSpec("quotient maps must be integer matrices")
     if k == 0:
         return
-    divisors, _, _ = smith_normal_form(spec.q_betti)
-    if list(divisors[:k]) != [1] * k:
+    if list(smith_normal_form(spec.q_betti)[:k]) != [1] * k:
         raise IncompatibleSpec("q_betti is not surjective")
     # k <= n now, so q_dr has k Smith divisors; onto at p iff all are units
-    divisors, _, _ = smith_normal_form(spec.q_dr)
-    if any(d % p == 0 for d in divisors):
+    if any(d % p == 0 for d in smith_normal_form(spec.q_dr)):
         raise IncompatibleSpec("q_dr is not surjective at p")
     # Frobenius compatibility in D-coordinates, exactly
     if spec.phi_u @ spec.q_dr != spec.q_dr @ fl.phi_in_basis():
@@ -195,12 +179,13 @@ def validate_spec(m: MotiveData, spec: QuotientSpec) -> None:
             raise IncompatibleSpec(f"U^{i} is not declared")
         if not u_i.is_integer():
             raise IncompatibleSpec(f"U^{i} must be an integer sublattice")
-        if not _saturated_at_p(u_i, p):
+        u_read = _rank_and_index(u_i, p)
+        if u_read[1]:
             raise IncompatibleSpec(f"U^{i} is not saturated at p")
-        image = hnf_rational(spec.q_dr @ (binv @ fl.filtration_matrix(i)))
-        u_i = hnf_rational(u_i)
-        if image.cols != u_i.cols or not (
-                _contained_at_p(u_i, image, p) and _contained_at_p(image, u_i, p)):
+        # image and U^i are equal at p iff both have the rank and index of
+        # their sum
+        image = spec.q_dr @ (binv @ fl.filtration_matrix(i))
+        if not _rank_and_index(image, p) == u_read == _rank_and_index(image.hstack(u_i), p):
             raise IncompatibleSpec(f"q(D^{i}) differs from U^{i} at p")
     if k == n:
         return
@@ -218,20 +203,15 @@ def validate_spec(m: MotiveData, spec: QuotientSpec) -> None:
 # the sublattice construction
 # ---------------------------------------------------------------------------
 
+def _preimage(a: QMatrix, target: QMatrix) -> QMatrix:
+    """Basis of { x in Z^cols : a x in the lattice spanned by target }: the
+    top block of the integer kernel of [a | -target]."""
+    return integer_kernel(a.hstack(target.scale(-1))).block(slice(a.cols))
+
+
 def kernel_mod(a: QMatrix, modulus: int) -> QMatrix:
     """Basis of { c in Z^cols : a c = 0 mod modulus } (a integer)."""
-    if modulus == 1:
-        return QMatrix.identity(a.cols)
-    divisors, _, v = smith_normal_form(a)
-    cols = []
-    from math import gcd
-    for j in range(a.cols):
-        if j < len(divisors):
-            scale = modulus // gcd(divisors[j], modulus)
-        else:
-            scale = 1
-        cols.append([x * scale for x in v.column(j)])
-    return QMatrix.from_columns(cols, rows=a.cols)
+    return _preimage(a, QMatrix.identity(a.rows).scale(modulus))
 
 
 def sublattice_motive(m: MotiveData, spec: QuotientSpec,
@@ -259,16 +239,8 @@ def sublattice_motive(m: MotiveData, spec: QuotientSpec,
     new_fil = {}
     for i in range(a + 1, b):
         fil_i = fl.filtration_matrix(i)
-        if fil_i.cols == 0:
-            new_fil[i] = fil_i
-            continue
         w_map = spec.q_dr @ (binv @ fil_i)            # k x k_i, p-integral
-        u_i = spec.u_filtration_matrix(i, (a, b))
-        target = u_i.scale(q)
-        stacked = w_map.hstack(target.scale(-1))
-        ker = integer_kernel(stacked)
-        coeff = ker.block(slice(fil_i.cols))
-        new_fil[i] = fil_i @ coeff
+        new_fil[i] = fil_i @ _preimage(w_map, spec.u_filtration_matrix(i, (a, b)).scale(q))
     try:
         new_fl = FilPhiModule(p, new_lattice, fl.phi, new_fil, (a, b))
     except ValueError as exc:

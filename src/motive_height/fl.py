@@ -250,7 +250,7 @@ def h1cf(m: FilPhiModule) -> tuple[int, tuple[int, ...]]:
     if not coords.is_p_integral(p):
         raise ValueError("(1 - phi) D^0 escapes D at p: inconsistent module")
     # the denominator is a p-unit, so the numerators have the same p-torsion
-    divisors, _, _ = smith_normal_form(coords.numerators())
+    divisors = smith_normal_form(coords.numerators())
     nonzero = [d for d in divisors if d]
     free_rank = m.n - len(nonzero)
     torsion = tuple(p ** vp_int(d, p) for d in nonzero if d % p == 0)

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 _RATIONAL_FORMAT = re.compile(r"""
     \A\s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>\d*|\d+(_\d+)*)
     (?:(?:/(?P<denom>\d+(_\d+)*))?
-     |(?:\.(?P<decimal>d*|\d+(_\d+)*))?(?:E(?P<exp>[-+]?\d+(_\d+)*))?)
+     |(?:\.(?P<decimal>\d*|\d+(_\d+)*))?(?:E(?P<exp>[-+]?\d+(_\d+)*))?)
     \s*\Z""", re.VERBOSE | re.IGNORECASE)
 # decimal exponents past this are refused before 10^|e| is formed; int()
 # bounds digit strings at the same 4300
@@ -88,7 +88,7 @@ class QMatrix:
         return m
 
     @classmethod
-    def _reduced(cls, num: tuple, den: int, cols: int) -> "QMatrix":
+    def from_numerators(cls, num: tuple, den: int, cols: int) -> "QMatrix":
         """The matrix num / den for a positive den, brought to lowest terms."""
         g = den
         for r in num:
@@ -140,7 +140,7 @@ class QMatrix:
     def block(self, rows: slice = slice(None), cols: slice = slice(None)) -> "QMatrix":
         """The submatrix on the given row and column slices."""
         width = len(range(*cols.indices(self.cols)))
-        return QMatrix._reduced(tuple(r[cols] for r in self.num[rows]), self.den, width)
+        return QMatrix.from_numerators(tuple(r[cols] for r in self.num[rows]), self.den, width)
 
     def numerators(self) -> "QMatrix":
         """The integer matrix den * self."""
@@ -162,15 +162,16 @@ class QMatrix:
     def scale(self, c) -> "QMatrix":
         c = _rational(c)
         k = c.numerator
-        return QMatrix._reduced(tuple(tuple(k * x for x in r) for r in self.num),
-                                self.den * c.denominator, self.cols)
+        return QMatrix.from_numerators(tuple(tuple(k * x for x in r) for r in self.num),
+                                       self.den * c.denominator, self.cols)
 
     def __add__(self, other):
         assert (self.rows, self.cols) == (other.rows, other.cols)
         d = lcm(self.den, other.den)
         fa, fb = d // self.den, d // other.den
-        return QMatrix._reduced(tuple(tuple(fa * a + fb * b for a, b in zip(ra, rb))
-                                      for ra, rb in zip(self.num, other.num)), d, self.cols)
+        return QMatrix.from_numerators(tuple(tuple(fa * a + fb * b for a, b in zip(ra, rb))
+                                             for ra, rb in zip(self.num, other.num)),
+                                       d, self.cols)
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -180,9 +181,9 @@ class QMatrix:
         if not self.cols:
             return QMatrix.zeros(self.rows, other.cols)
         right = list(zip(*other.num))
-        return QMatrix._reduced(tuple([tuple([sum(map(mul, r, c)) for c in right])
-                                       for r in self.num]),
-                                self.den * other.den, other.cols)
+        return QMatrix.from_numerators(tuple([tuple([sum(map(mul, r, c)) for c in right])
+                                              for r in self.num]),
+                                       self.den * other.den, other.cols)
 
     def is_integer(self) -> bool:
         return self.den == 1
@@ -252,8 +253,8 @@ class QMatrix:
         # X = (num/den)^-1 (rhs.num/rhs.den) = right block * den / (d rhs.den)
         s = 1 if prev > 0 else -1
         scale = s * self.den
-        return QMatrix._reduced(tuple(tuple(scale * x for x in r[n:]) for r in a),
-                                s * prev * rhs.den, m)
+        return QMatrix.from_numerators(tuple(tuple(scale * x for x in r[n:]) for r in a),
+                                       s * prev * rhs.den, m)
 
 
 # ---------------------------------------------------------------------------
@@ -329,92 +330,51 @@ def is_prime(n: int) -> bool:
 # Smith normal form over Z
 # ---------------------------------------------------------------------------
 
-def smith_normal_form(m: QMatrix):
-    """Smith normal form of an integer matrix.
+def smith_normal_form(m: QMatrix) -> tuple[int, ...]:
+    """Smith divisors of an integer matrix: (d_1, ..., d_k), k = min(rows,
+    cols), with d_1 | d_2 | ... | d_k >= 0 (trailing zeros for rank
+    deficiency).
 
-    Returns (divisors, U, V) with U @ m @ V diagonal, U and V unimodular,
-    and divisors = (d_1, ..., d_k), k = min(rows, cols), satisfying
-    d_1 | d_2 | ... | d_k >= 0 (trailing zeros for rank deficiency).
+    Row and column operations on a copy of the entries; no transform is
+    kept, since kernels and preimages come from ``hnf_columns``.
     """
     if not m.is_integer():
         raise ValueError("smith_normal_form requires integer entries")
     a = [list(row) for row in m.num]
     rows, cols = m.rows, m.cols
-    U = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    V = [[int(i == j) for j in range(cols)] for i in range(cols)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in V:
-            r[i], r[j] = r[j], r[i]
-
-    def add_row(dst, src, c):
-        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
-        U[dst] = [x + c * y for x, y in zip(U[dst], U[src])]
-
-    def add_col(dst, src, c):
-        for r in a:
-            r[dst] += c * r[src]
-        for r in V:
-            r[dst] += c * r[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        U[i] = [-x for x in U[i]]
-
     k = min(rows, cols)
     for t in range(k):
-        # find a nonzero entry of least absolute value in the trailing block
         while True:
-            best = None
-            for i in range(t, rows):
-                for j in range(t, cols):
-                    if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                        best = (i, j)
-            if best is None:
-                break  # trailing block is zero
-            i, j = best
-            if i != t:
-                swap_rows(t, i)
+            # move a nonzero entry of least absolute value in the trailing
+            # block to (t, t); stop if the block is zero
+            nonzero = [(abs(a[i][j]), i, j) for i in range(t, rows)
+                       for j in range(t, cols) if a[i][j]]
+            if not nonzero:
+                break
+            _, i, j = min(nonzero)
+            a[t], a[i] = a[i], a[t]
             if j != t:
-                swap_cols(t, j)
-            done = True
+                for r in a:
+                    r[t], r[j] = r[j], r[t]
+            rt = a[t]
+            piv = rt[t]
             for i in range(t + 1, rows):
-                q = a[i][t] // a[t][t]
+                q = a[i][t] // piv
                 if q:
-                    add_row(i, t, -q)
-                if a[i][t]:
-                    done = False
+                    a[i] = [x - q * y for x, y in zip(a[i], rt)]
             for j in range(t + 1, cols):
-                q = a[t][j] // a[t][t]
+                q = rt[j] // piv
                 if q:
-                    add_col(j, t, -q)
-                if a[t][j]:
-                    done = False
-            if done:
-                # ensure pivot divides the rest of the block
-                offender = None
-                for i in range(t + 1, rows):
-                    for j in range(t + 1, cols):
-                        if a[i][j] % a[t][t]:
-                            offender = i
-                            break
-                    if offender:
-                        break
-                if offender is None:
-                    break
-                add_row(t, offender, 1)
-        if a[t][t] < 0:
-            negate_row(t)
-
-    divisors = tuple(abs(a[i][i]) for i in range(k))
-    return (divisors, QMatrix._make(tuple(map(tuple, U)), 1, rows),
-            QMatrix._make(tuple(map(tuple, V)), 1, cols))
+                    for r in a:
+                        r[j] -= q * r[t]
+            if any(a[i][t] for i in range(t + 1, rows)) or any(rt[t + 1:]):
+                continue
+            # the pivot must divide the rest of the block
+            offender = next((r for r in a[t + 1:] if any(x % piv for x in r[t + 1:])), None)
+            if offender is None:
+                break
+            a[t] = [x + y for x, y in zip(rt, offender)]
+    return tuple(abs(a[i][i]) for i in range(k))
 
 
 # ---------------------------------------------------------------------------
@@ -501,10 +461,10 @@ def hnf_rational(m: QMatrix) -> QMatrix:
 
 
 def integer_kernel(m: QMatrix) -> QMatrix:
-    """Basis of { x in Z^cols : m @ x = 0 }; saturated by construction."""
-    divisors, _, V = smith_normal_form(m.numerators())
-    k = min(m.rows, m.cols)
-    null_cols = [j for j in range(k) if divisors[j] == 0]
-    null_cols += list(range(k, m.cols))
-    return QMatrix._make(tuple(tuple(r[j] for j in null_cols) for r in V.num),
-                         1, len(null_cols))
+    """Basis of { x in Z^cols : m @ x = 0 }, read off the column Hermite form
+    of [num; I]: its columns span { (num x, x) }, and those whose top block
+    vanishes span the kernel, read below it.  Saturated by construction."""
+    h = hnf_columns(QMatrix._make(m.num + QMatrix.identity(m.cols).num, 1, m.cols))
+    # pivot rows increase along h, so the kernel columns come last
+    rank = sum(1 for j in range(h.cols) if any(row[j] for row in h.num[:m.rows]))
+    return h.block(slice(m.rows, None), slice(rank, None))

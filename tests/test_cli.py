@@ -342,6 +342,8 @@ MALFORMED_FIELDS = {
                             "period[0][1].re: invalid rational literal '1/0'"),
     "re-spaced": (_set_entry("re", "3 / 4"),
                   "period[0][1].re: invalid rational literal '3 / 4'"),
+    "re-decimal-letters": (_set_entry("re", "1.dd"),
+                           "period[0][1].re: invalid rational literal '1.dd'"),
     "id": (lambda doc: doc["metadata"].__setitem__("id", 5),
            "metadata.id: expected a string, got 5"),
 }

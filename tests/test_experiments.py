@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from motive_height.balls import ComplexBall
 from motive_height.experiments import (
     IncompatibleSpec,
     QuotientSpec,
+    _rank_and_index,
     abc_report,
     check_s_equals_t,
     full_quotient_spec,
@@ -29,8 +31,9 @@ from motive_height.motive import (
     tate_twist,
     validate,
 )
-from motive_height.rational import QMatrix
-from conftest import block_projection_spec, random_motive
+from motive_height.rational import QMatrix, hnf_rational
+from conftest import block_projection_spec, random_int_matrix, random_motive, random_unimodular
+from test_rational import minor_gcd_divisors
 
 
 # ---------------------------------------------------------------------------
@@ -92,15 +95,15 @@ def test_kernel_mod_scalar():
 
 
 def test_kernel_mod_membership(rng):
-    for _ in range(20):
-        rows, cols = rng.randint(1, 2), rng.randint(1, 3)
-        a = QMatrix([[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)])
-        q = rng.choice([3, 5, 9])
+    # every column lies in ker(a mod q), and the columns span all of it: its
+    # index in Z^cols is |image of a mod q|, which the minor-gcd Smith
+    # divisors give as prod_j q / gcd(d_j, q)
+    for _ in range(80):
+        a = random_int_matrix(rng, rng.randint(1, 3), rng.randint(1, 4), bound=6)
+        q = rng.choice([3, 5, 9, 25])
         k = kernel_mod(a, q)
-        assert k.cols == cols
-        image = a @ k
-        assert all(x.denominator == 1 and x.numerator % q == 0
-                   for row in image.data for x in row)
+        assert k.cols == a.cols and (a @ k).scale(Fraction(1, q)).is_integer()
+        assert abs(k.det()) == math.prod(q // math.gcd(d, q) for d in minor_gcd_divisors(a))
 
 
 # ---------------------------------------------------------------------------
@@ -287,14 +290,72 @@ def test_undeclared_u_filtration_step_rejected():
             validate_spec(m, bad)
 
 
-def test_containment_on_empty_bases():
-    from motive_height.experiments import _contained_at_p, _coords_in
+def _coords_in(basis: QMatrix, cols: QMatrix):
+    """Coordinates of ``cols`` in a basis of full column rank, through its
+    Gram matrix; None when they leave the basis's rational span."""
+    if basis.cols == basis.rows:
+        return basis.solve(cols)
+    coords = (basis.transpose() @ basis).solve(basis.transpose() @ cols)
+    return coords if basis @ coords == cols else None
 
+
+def equal_at_p_by_containment(a: QMatrix, b: QMatrix, p: int) -> bool:
+    """Oracle: the Hermite bases of the two column lattices have the same
+    rank and each lies in the other's lattice localized at p."""
+    a, b = hnf_rational(a), hnf_rational(b)
+
+    def contained(basis, cols):
+        coords = _coords_in(basis, cols)
+        return coords is not None and coords.is_p_integral(p)
+
+    return a.cols == b.cols and contained(a, b) and contained(b, a)
+
+
+def _lattice_pair(rng, kind: str, p: int):
+    """Two generating matrices in Q^k whose lattices are related by ``kind``;
+    the verdict of equality at p, or None where the draw decides it."""
+    k = rng.randint(1, 4)
+    if kind == "rank 0":
+        a = QMatrix.zeros(k, rng.randint(0, 2))
+        b = QMatrix.zeros(k, rng.randint(0, 2)) if rng.random() < 0.5 \
+            else random_int_matrix(rng, k, 1, bound=3)
+        return a, b, None
+    r = rng.randint(1, k)
+    while True:
+        a = random_int_matrix(rng, k, r, bound=4)
+        if hnf_rational(a).cols == r:
+            break
+    a = a.scale(Fraction(1, rng.choice([1, 2, 3, p, p * p])))
+    if kind == "span":
+        return a, random_int_matrix(rng, k, rng.randint(1, k), bound=4), None
+    # rebase by M = U diag(c, 1, ..., 1) U' with c = 1, a p-power or prime to p
+    c = {"same": 1, "p-power": p ** rng.randint(1, 2) * rng.choice([1, -1]),
+         "prime-to-p": rng.choice([c for c in (2, 3, 4, 6, 7, 11) if c % p])}[kind]
+    diag = QMatrix([[c if i == j == 0 else int(i == j) for j in range(r)] for i in range(r)])
+    b = a @ random_unimodular(rng, r) @ diag @ random_unimodular(rng, r)
+    if rng.random() < 0.3:  # a generating set with a dependent column
+        b = b.hstack(b @ random_int_matrix(rng, r, 1, bound=3))
+    if kind == "p-power" and rng.random() < 0.3:
+        b = a.scale(Fraction(1, p))
+    return a, b, kind != "p-power"
+
+
+def test_rank_and_index_decide_equality_at_p_as_containment_does(rng):
     empty = QMatrix.zeros(2, 0)
-    assert _coords_in(empty, empty) == QMatrix.zeros(0, 0)
-    assert _contained_at_p(empty, empty, 5)
-    assert _contained_at_p(empty, QMatrix.zeros(2, 1), 5)
-    assert not _contained_at_p(empty, QMatrix.from_columns([(1, 0)], rows=2), 5)
+    pairs = [(empty, empty, 5, True), (empty, QMatrix.zeros(2, 1), 5, True),
+             (empty, QMatrix.from_columns([(1, 0)], rows=2), 5, False)]
+    kinds = ("same", "p-power", "prime-to-p", "span", "rank 0")
+    for t in range(1200):
+        p = rng.choice([2, 3, 5])
+        a, b, verdict = _lattice_pair(rng, kinds[t % len(kinds)], p)
+        pairs.append((a, b, p, verdict))
+    seen = set()
+    for a, b, p, verdict in pairs:
+        equal = _rank_and_index(a, p) == _rank_and_index(b, p) == _rank_and_index(a.hstack(b), p)
+        assert equal == equal_at_p_by_containment(a, b, p), (a, b, p)
+        assert verdict in (None, equal)
+        seen.add(equal)
+    assert seen == {True, False}
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ No linter ships with the project, so these AST scans stand in for one.  In
 the unused-import scan ``__init__.py`` (which re-exports) and
 ``from __future__`` imports are exempt.  The private-name scan covers every
 module: an underscore-prefixed name imported from another library module,
-or read as an attribute of one, is a helper that belongs next to its caller.
+or read as an attribute of one or of a name (a class, say) imported from
+one, is a helper that belongs next to its caller.
 The precision scan keeps results independent of a caller's ``mp.prec``:
 balls take their precision from ``current_bits()``, and only
 ``working_precision`` reads ``mp.prec``, to restore it on exit.
@@ -56,25 +57,25 @@ def _is_private(name: str) -> bool:
 def private_imports(source: str) -> list[str]:
     """Private names a module takes from other modules of the package."""
     tree = ast.parse(source)
-    found, modules = [], set()
+    found, owners = [], set()  # sibling modules and names imported from them
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (
                 node.level or (node.module or "").split(".")[0] == PACKAGE):
             for alias in node.names:
                 if _is_private(alias.name):
                     found.append(f"{alias.name} (line {node.lineno})")
-                elif node.module is None or node.module == PACKAGE:
-                    modules.add(alias.asname or alias.name)  # a sibling module
+                else:
+                    owners.add(alias.asname or alias.name)
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name.split(".")[0] == PACKAGE:
-                    modules.add(alias.asname or alias.name.split(".")[0])
+                    owners.add(alias.asname or alias.name.split(".")[0])
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and _is_private(node.attr):
             base = node.value
             while isinstance(base, ast.Attribute):
                 base = base.value
-            if isinstance(base, ast.Name) and base.id in modules:
+            if isinstance(base, ast.Name) and base.id in owners:
                 found.append(f"{node.attr} (line {node.lineno})")
     return sorted(found)
 
@@ -85,9 +86,13 @@ def test_scan_finds_private_import():
            "from . import hodge as h\n"
            "import motive_height.rational\n"
            "from os import _exit\n"
-           "h._exactly_singular(motive_height.rational._bareiss, h.__name__)\n")
+           "h._exactly_singular(motive_height.rational._bareiss, h.__name__)\n"
+           "from .rational import QMatrix as Q\n"
+           "from fractions import Fraction\n"
+           "Q._reduced(Q.identity(2)._num, Fraction._operator_fallbacks)\n")
     assert private_imports(src) == ["_bareiss (line 6)", "_coords_in (line 1)",
-                                    "_exactly_singular (line 6)", "_fixed (line 2)"]
+                                    "_exactly_singular (line 6)", "_fixed (line 2)",
+                                    "_reduced (line 9)"]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

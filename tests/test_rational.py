@@ -47,21 +47,16 @@ def minor_gcd_divisors(m: QMatrix):
 
 
 def test_snf_identity():
-    d, U, V = smith_normal_form(QMatrix.identity(2))
-    assert d == (1, 1)
+    assert smith_normal_form(QMatrix.identity(2)) == (1, 1)
 
 
 def test_snf_diag_2_3():
-    d, U, V = smith_normal_form(QMatrix([[2, 0], [0, 3]]))
-    assert d == (1, 6)
+    assert smith_normal_form(QMatrix([[2, 0], [0, 3]])) == (1, 6)
     assert minor_gcd_divisors(QMatrix([[2, 0], [0, 3]])) == (1, 6)
 
 
 def test_snf_2468():
-    m = QMatrix([[2, 4], [6, 8]])
-    d, U, V = smith_normal_form(m)
-    assert d == (2, 4)  # gcd 2, |det| = 8
-    assert (U @ m @ V) == QMatrix([[2, 0], [0, 4]])
+    assert smith_normal_form(QMatrix([[2, 4], [6, 8]])) == (2, 4)  # gcd 2, |det| = 8
 
 
 def test_snf_random_against_minor_oracle(rng):
@@ -69,14 +64,8 @@ def test_snf_random_against_minor_oracle(rng):
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 4)
         m = random_int_matrix(rng, rows, cols, bound=6)
-        d, U, V = smith_normal_form(m)
-        assert abs(U.det()) == 1 and abs(V.det()) == 1
-        prod = U @ m @ V
+        d = smith_normal_form(m)
         k = min(rows, cols)
-        for i in range(rows):
-            for j in range(cols):
-                expected = d[i] if i == j and i < k else 0
-                assert prod[i, j] == expected
         for i in range(k - 1):
             if d[i + 1] != 0:
                 assert d[i] != 0 and d[i + 1] % d[i] == 0
@@ -323,19 +312,17 @@ def test_normal_forms_and_kernels_of_rational_matrices(rng):
             assert h == hnf_columns(ints).scale(Fraction(1, d))
             assert (h.rows, h.cols) == (r, rank)
         assert_lowest_terms(h)
-        # Smith form of the numerators: minors, and U num V diagonal
+        # Smith divisors of the numerators: the minor gcds, rank of them nonzero
         num = m.numerators()
-        divisors, u, v = smith_normal_form(num)
+        divisors = smith_normal_form(num)
         assert divisors == minor_gcd_divisors(num)
         assert sum(1 for x in divisors if x) == rank
-        assert (u @ num @ v).data == tuple(
-            tuple(Fraction(divisors[i] if i == j else 0) for j in range(c)) for i in range(r))
         # integer kernel: integral, annihilated, of rank cols - rank, saturated
         k = integer_kernel(m)
         assert (k.rows, k.cols) == (c, c - rank) and k.is_integer()
         assert m @ k == QMatrix.zeros(r, c - rank)
         if k.cols:
-            assert smith_normal_form(k)[0] == (1,) * k.cols
+            assert smith_normal_form(k) == (1,) * k.cols
 
 
 def test_hermite_inputs_are_their_own_form(rng):
