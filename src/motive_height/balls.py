@@ -18,7 +18,11 @@ Determinants and solves run in one integer fixed-point elimination with
 radii counted in ulps: entries, scaled by powers of two, are Gaussian
 integers at scale 2^(precision + _FIX_GUARD) with one integer disk radius
 each.  Every rounding is bounded in integers, and an ulp is added only where
-bits are dropped, so exact data stay exact.
+bits are dropped, so exact data stay exact.  The elimination reads only the
+integer parts that ``ball_parts`` takes from a matrix; they do not depend on
+the precision, so a caller that eliminates many matrices built from the
+same entries (the opposition determinants of one Hodge structure) reads
+those entries once.
 
 Precision is process-global: use ``working_precision(bits)`` around a
 computation.  The stated bit count is the nominal fractional precision; a
@@ -492,15 +496,46 @@ def _dot(d: int, terms: list, mids: list, e: int, rads: list, er: int) -> RealBa
 _FIX_GUARD = 8  # bits of the fixed point beyond the working mantissa
 
 
-def _fixed(z: ComplexBall, shift: int) -> tuple[int, int, int]:
-    """z 2^shift as a truncated Gaussian integer and a disk radius: z's
-    radii rounded up, plus an ulp for each part that lost bits."""
-    parts, lost = [], 0
-    for sign, man, exp, _ in (x._mpf_ for x in (z.re.mid, z.im.mid, z.re.rad, z.im.rad)):
-        v = man << (exp + shift) if exp + shift >= 0 else man >> -(exp + shift)
-        parts.append(-v if sign else v)
-        lost += exp + shift < 0 and v << -(exp + shift) != man
-    return parts[0], parts[1], parts[2] + parts[3] + lost
+def ball_parts(a) -> tuple:
+    """The integer form the elimination reads: each entry z becomes
+    (mag, parts), parts the pairs (m, e) with m 2^e exactly, m signed, of
+    z's real and imaginary midpoints and then radii, and mag the largest
+    e + bitlength(m) of a nonzero midpoint part (None when both vanish).
+    Nothing here depends on the precision, so a matrix read once serves
+    every elimination at every precision, and ``conj_parts`` reads conj z
+    off z's entry.  An entry already read stands for itself, so a matrix
+    assembled from read entries passes through."""
+    return tuple(tuple(_read(z) if isinstance(z, ComplexBall) else z for z in row)
+                 for row in a)
+
+
+def conj_parts(entry: tuple) -> tuple:
+    """The ``ball_parts`` entry of conj z from that of z: the imaginary
+    midpoint's sign flipped, as ``ComplexBall.conj`` flips it, exactly."""
+    mag, (re, (m, e), *radii) = entry
+    return mag, (re, (-m, e), *radii)
+
+
+def _read(z: ComplexBall) -> tuple:
+    raw = [x._mpf_ for x in (z.re.mid, z.im.mid, z.re.rad, z.im.rad)]
+    mag = max((exp + bc for _, man, exp, bc in raw[:2] if man), default=None)
+    return mag, tuple((-man if sign else man, exp) for sign, man, exp, _ in raw)
+
+
+def _fixed(parts: tuple, shift: int) -> tuple[int, int, int]:
+    """An entry's parts times 2^shift as a truncated Gaussian integer and a
+    disk radius: the radii rounded up, plus an ulp for each part that lost
+    bits."""
+    out, lost = [], 0
+    for m, exp in parts:
+        k = exp + shift
+        if k >= 0:
+            out.append(m << k)
+        else:
+            v = abs(m) >> -k
+            lost += v << -k != abs(m)
+            out.append(-v if m < 0 else v)
+    return out[0], out[1], out[2] + out[3] + lost
 
 
 def _divide(ar: int, ai: int, ra: int, pivot: tuple, shift: int) -> tuple[int, int, int]:
@@ -521,24 +556,24 @@ def _complex_ball(re: int, im: int, rad: int, exp: int) -> ComplexBall:
     return ComplexBall(_rounded(re, exp, 1, rad, exp), _rounded(im, exp, 1, rad, exp))
 
 
-def _eliminate(a: BallMatrix, rhs: BallMatrix | None = None):
-    """Eliminate [a | rhs] in fixed point, pivoting on the largest |mid|^2:
-    below each pivot, or with ``rhs`` in every other row (Gauss-Jordan).
-    Returns (F, pivots, rows, sign, exp, col): pivot k is (pr, pi, rp, |p|^2,
-    isqrt |p|^2), row k the lists (re, im, radius) of its row, column j was
-    scaled by 2^-col[j], and det a = sign prod_k (pr + i pi) 2^exp."""
-    n, frac = len(a), _prec() + _FIX_GUARD
+def _eliminate(full: tuple):
+    """Eliminate the ``ball_parts`` rows [a | rhs], a square, in fixed point,
+    pivoting on the largest |mid|^2: below each pivot, or in every other row
+    when rhs has columns (Gauss-Jordan).  Returns (F, pivots, rows, sign,
+    exp, col): pivot k is (pr, pi, rp, |p|^2, isqrt |p|^2), row k the lists
+    (re, im, radius) of its row, column j was scaled by 2^-col[j], and
+    det a = sign prod_k (pr + i pi) 2^exp."""
+    n, frac = len(full), _prec() + _FIX_GUARD
     mask = (1 << frac) - 1
-    full = [tuple(a[i]) + (tuple(rhs[i]) if rhs is not None else ()) for i in range(n)]
-    mags = [[max((e + bc for _, man, e, bc in (z.re.mid._mpf_, z.im.mid._mpf_) if man),
-                 default=None) for z in row] for row in full]
-    col = [max((m for m in c if m is not None), default=0) for c in zip(*mags)]
+    col = [max((mag for mag, _ in c if mag is not None), default=0) for c in zip(*full)]
+    gauss_jordan = len(col) > n
     rows, exp, sign, pivots = [], sum(col[:n]) - n * frac, 1, []
-    for row, mag in zip(full, mags):
-        top = max((m - c for m, c in zip(mag[:n], col) if m is not None), default=0)
+    for row in full:
+        top = max((mag - c for (mag, _), c in zip(row[:n], col) if mag is not None),
+                  default=0)
         exp += top
-        rows.append(tuple(map(list, zip(*(_fixed(z, frac - top - c)
-                                          for z, c in zip(row, col))))))
+        rows.append(tuple(map(list, zip(*(_fixed(parts, frac - top - c)
+                                          for (_, parts), c in zip(row, col))))))
     for k in range(n):
         piv = max(range(k, n), key=lambda i: rows[i][0][k] ** 2 + rows[i][1][k] ** 2)
         if piv != k:
@@ -549,7 +584,7 @@ def _eliminate(a: BallMatrix, rhs: BallMatrix | None = None):
         if pivots[-1][4] <= prad[k]:
             raise PrecisionExhausted("a pivot ball contains zero at the working precision")
         babs = [isqrt(x * x + y * y) + 1 for x, y in zip(pre, pim)]
-        for i in (range(n) if rhs is not None else range(k + 1, n)):
+        for i in (range(n) if gauss_jordan else range(k + 1, n)):
             re, im, rad = rows[i]
             fr, fi, rf = _divide(re[k], im[k], rad[k], pivots[-1], frac) if i != k else (0, 0, 0)
             fabs = isqrt(fr * fr + fi * fi) + 1
@@ -569,7 +604,8 @@ def ball_lu_solve(a: BallMatrix, b: BallMatrix) -> BallMatrix:
     Raises PrecisionExhausted if some pivot ball contains zero (the matrix
     cannot be certified invertible at the working precision).
     """
-    frac, pivots, rows, _, _, col = _eliminate(a, b)
+    frac, pivots, rows, _, _, col = _eliminate(
+        ball_parts(tuple(ra) + tuple(rb) for ra, rb in zip(a, b)))
     return tuple(tuple(_complex_ball(*_divide(re[j], im[j], rad[j], pivot, frac),
                                      col[j] - col[k] - frac) for j in range(len(a), len(re)))
                  for k, ((re, im, rad), pivot) in enumerate(zip(rows, pivots)))
@@ -580,7 +616,7 @@ def det_norm2(a: BallMatrix) -> tuple[int, int, int]:
     a pivot disk p +- r, with N = |p|^2 and s = isqrt N <= |p| < s + 1, puts
     |P|^2 in [max(N - 2r(s + 1) + r^2, (s - r)^2), N + 2r(s + 1) + r^2], whose
     lower end is >= 1 as s > r is certified, and which is N when r = 0."""
-    _, pivots, _, _, exp, _ = _eliminate(a)
+    _, pivots, _, _, exp, _ = _eliminate(ball_parts(a))
     lo = hi = 1
     for _, _, r, norm, s in pivots:
         lo *= max(norm - 2 * r * (s + 1) + r * r, (s - r) ** 2)
@@ -591,7 +627,7 @@ def det_norm2(a: BallMatrix) -> tuple[int, int, int]:
 def ball_det(a: BallMatrix) -> ComplexBall:
     """det a = sign prod p_k, with radius prod (|p_k| + r_k) - prod |p_k|:
     that grows with each |p_k|, so upper bounds of |p_k| may stand in."""
-    _, pivots, _, sign, exp, _ = _eliminate(a)
+    _, pivots, _, sign, exp, _ = _eliminate(ball_parts(a))
     re, im, upper, widened = sign, 0, 1, 1
     for pr, pi, rp, _, low in pivots:
         re, im = re * pr - im * pi, re * pi + im * pr

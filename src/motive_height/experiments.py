@@ -180,6 +180,9 @@ def validate_spec(m: MotiveData, spec: QuotientSpec) -> None:
         if not u_i.is_integer():
             raise IncompatibleSpec(f"U^{i} must be an integer sublattice")
         u_read = _rank_and_index(u_i, p)
+        if u_read[0] != u_i.cols:
+            raise IncompatibleSpec(f"U^{i} has dependent columns: its "
+                                   f"{u_i.cols} columns span rank {u_read[0]}")
         if u_read[1]:
             raise IncompatibleSpec(f"U^{i} is not saturated at p")
         # image and U^i are equal at p iff both have the rank and index of

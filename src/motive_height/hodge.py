@@ -27,11 +27,17 @@ form,
     |ref| = |det P|^a * prod_{a<r<b} |D_r|^{1/2}.
 
 Each |D_r|^2 is an integer interval read off the pivot norms of one ball
-elimination, so the metric needs one pair of integer fourth roots.  A D_r
-is zero only by the exact test, when some pivot is not certified nonzero and
-every entry is known exactly (an exact ball, or a Gaussian rational times a
-power of 2 pi i); an exactly vanishing D_r means the structure is not pure.
-Otherwise the working precision cannot tell: PrecisionExhausted is raised.
+elimination, so the metric needs one pair of integer fourth roots.  The
+dimension test at r = a and r = b forces a + b = w + 1, so r -> w + 1 - r
+pairs the interior levels, and |D_{w+1-r}| = |D_r|: conjugation is an exact
+sign flip, so [conj F^r | F^{w+1-r}] is entrywise the conjugate of D_r's
+matrix, and swapping its column blocks gives D_{w+1-r}'s.  One elimination
+serves each pair, and the basis is read into the elimination's integer form
+once per structure.  A D_r is zero only by the exact test, when some pivot
+is not certified nonzero and every entry is known exactly (an exact ball, or
+a Gaussian rational times a power of 2 pi i); an exactly vanishing D_r means
+the structure is not pure.  Otherwise the working precision cannot tell:
+PrecisionExhausted is raised.
 """
 
 from __future__ import annotations
@@ -49,6 +55,8 @@ from .balls import (
     ZeroVector,
     ball_lu_solve,
     ball_matrix,
+    ball_parts,
+    conj_parts,
     current_bits,
     det_norm2,
 )
@@ -132,19 +140,31 @@ def _exactly_singular(m: BallMatrix) -> bool:
 
 def _opposition_dets(h: HodgeStructure) -> dict[int, tuple[int, int, int] | None]:
     """|D_r|^2 by ``det_norm2`` for a <= r < b, cached per precision; None is
-    an exactly vanishing D_r.  Requires the dimension test of ``purity_check``."""
+    an exactly vanishing D_r.  Requires the dimension test of ``purity_check``.
+
+    The basis is read into the elimination's integer form once per structure,
+    with its conjugate beside it, and each D_r takes its columns from the two.
+    An interior D_r whose mirror D_{w+1-r} is known is not eliminated: it has
+    the same modulus (see the module docstring)."""
     key = ("dets", current_bits())
     if key not in h._cache:
+        if "parts" not in h._cache:
+            parts = ball_parts(h.basis)
+            h._cache["parts"] = parts, tuple(tuple(map(conj_parts, row)) for row in parts)
+        parts, conj = h._cache["parts"]
         lo, hi = h.window()
-        dets = {}
+        w, dets = h.weight, {}
         for r in range(lo, hi):
-            m = _opposition_matrix(h, r)
+            if w + 1 - r in dets:
+                dets[r] = dets[w + 1 - r]
+                continue
+            own, mirror = h.n - h.filtration_dim(r), h.n - h.filtration_dim(w + 1 - r)
             try:
-                dets[r] = det_norm2(m)
+                dets[r] = det_norm2(tuple(p[own:] + c[mirror:] for p, c in zip(parts, conj)))
             except PrecisionExhausted:
-                if not _exactly_singular(m):
+                if not _exactly_singular(_opposition_matrix(h, r)):
                     raise PrecisionExhausted(
-                        f"D_{r} = det[F^{r} | conj F^{h.weight + 1 - r}] cannot be "
+                        f"D_{r} = det[F^{r} | conj F^{w + 1 - r}] cannot be "
                         f"certified nonzero at {current_bits()} bits") from None
                 dets[r] = None
         h._cache[key] = dets

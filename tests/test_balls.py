@@ -16,6 +16,7 @@ from motive_height.balls import (
     ball_det,
     ball_lu_solve,
     ball_matrix,
+    ball_parts,
     det_norm2,
     rational_ball_mul,
     working_precision,
@@ -459,6 +460,27 @@ def test_kernel_encloses_exact_det_and_solve():
         assert ball_contains(d, det) and norm2_contains(norm2, det)
         assert all(ball_contains(x[i][j], truth[i][j]) for i in range(n) for j in range(m))
     assert certified >= 45
+
+
+def test_parts_read_once_serve_every_precision():
+    # ball_parts reads no precision: a matrix read once eliminates exactly as
+    # its balls do at every precision, and read entries pass a second read
+    rng = random.Random(1516)
+    for _ in range(30):
+        n = rng.randint(1, 8)
+        a = tuple(tuple(_random_entry(rng, rng.randint(-40, 40))[0] for _ in range(n))
+                  for _ in range(n))
+        parts = ball_parts(a)
+        assert ball_parts(parts) == parts
+        for bits in (64, 128, 256):
+            with working_precision(bits):
+                try:
+                    want = det_norm2(a)
+                except PrecisionExhausted:
+                    with pytest.raises(PrecisionExhausted):
+                        det_norm2(parts)
+                    continue
+                assert det_norm2(parts) == want
 
 
 def test_near_singular_raises_until_the_precision_resolves_it():

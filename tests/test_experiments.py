@@ -282,6 +282,17 @@ def test_u_filtration_not_image_of_d_rejected():
         validate_spec(m, bad)
 
 
+def test_u_filtration_with_dependent_columns_rejected():
+    # same rank and index as q(D^0) = [[0], [1]], but not a basis: the
+    # sublattice step would build one column per generator
+    for u0 in (QMatrix([[0, 0], [1, 0]]), QMatrix([[0, 0], [1, 1]])):
+        m, bad = _elliptic_spec_with_u0(u0)
+        with pytest.raises(IncompatibleSpec, match="U\\^0 has dependent columns"):
+            validate_spec(m, bad)
+        with pytest.raises(IncompatibleSpec, match="U\\^0 has dependent columns"):
+            invariance_experiment(m, bad)
+
+
 def test_undeclared_u_filtration_step_rejected():
     m, good = _elliptic_spec_with_u0(QMatrix([[0], [1]]))
     for steps in ((), ((1, QMatrix([[0], [1]])),)):

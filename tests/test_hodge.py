@@ -10,6 +10,7 @@ from motive_height.balls import (
     RealBall,
     ZeroVector,
     ball_det,
+    det_norm2,
     working_precision,
 )
 from motive_height import hodge, motive
@@ -22,6 +23,7 @@ from motive_height.hodge import (
     purity_check,
 )
 from conftest import random_adapted_rebase, random_pure_hodge
+from gaussian_oracle import gdet
 from hodge_oracle import mid_complex, reference_metric, span_residual, svd_pieces
 
 
@@ -154,6 +156,127 @@ def test_purity_decided_once_per_structure_and_precision(monkeypatch):
     with working_precision(256):
         motive.height(m)
     assert calls == {"purity": 1, "dets": 4}
+
+
+# ---------------------------------------------------------------------------
+# the mirror pairing: |D_{w+1-r}| = |D_r|, one elimination per pair
+# ---------------------------------------------------------------------------
+
+def _interval(bounds):
+    lo, hi, e = bounds
+    return lo * Fraction(2) ** e, hi * Fraction(2) ** e
+
+
+def _mirrored(h):
+    """The r whose |D_r|^2 is read off the mirror D_{w+1-r}, eliminated first."""
+    a, b = h.window()
+    return [r for r in range(a + 1, b) if a < h.weight + 1 - r < r]
+
+
+def _exact_norm2(h, r):
+    """|D_r|^2 in Gaussian rationals, for a basis of exact rational entries."""
+    cols = [[h.basis[i][j].exact_value()[0] for i in range(h.n)] for j in range(h.n)]
+    own = [c for c, l in zip(cols, h.levels) if l >= r]
+    mirror = [[(x, -y) for x, y in c] for c, l in zip(cols, h.levels)
+              if l >= h.weight + 1 - r]
+    re, im = gdet([[c[i] for c in own + mirror] for i in range(h.n)])
+    return re * re + im * im
+
+
+def _pairing_structures():
+    """Random pure structures over wide windows, every other one rebased so
+    that its entries are inexact balls."""
+    rng = random.Random(1515)
+    out = []
+    for trial in range(300):
+        w = rng.randint(-3, 6)
+        h, _ = random_pure_hodge(rng, weight=w, max_rank=6, max_width=7)
+        out.append((random_adapted_rebase(rng, h)[0], False) if trial % 2 else (h, True))
+    return out
+
+
+def test_mirrored_determinant_encloses_its_own_elimination():
+    # the interval stored for a mirrored r is the mirror's; it must overlap
+    # the interval of eliminating D_r itself, and with exact entries both
+    # contain the exact |D_r|^2
+    pairs = exact = 0
+    for h, is_exact in _pairing_structures():
+        for bits in (64, 128, 256):
+            with working_precision(bits):
+                dets = hodge._opposition_dets(h)
+                for r in _mirrored(h):
+                    assert dets[r] is dets[h.weight + 1 - r]
+                    own_lo, own_hi = _interval(det_norm2(hodge._opposition_matrix(h, r)))
+                    lo, hi = _interval(dets[r])
+                    assert own_lo <= hi and lo <= own_hi, (h, r, bits)
+                    pairs += 1
+                    if is_exact:
+                        truth = _exact_norm2(h, r)
+                        assert own_lo <= truth <= own_hi and lo <= truth <= hi
+                        exact += 1
+    assert pairs >= 1000 and exact >= 400, (pairs, exact)
+
+
+def test_unpaired_determinants_are_their_own_elimination():
+    # every D_r that is eliminated gives det_norm2 of its ball matrix, bit
+    # for bit: reading the basis once changes no scaling and no rounding
+    for h, _ in _pairing_structures()[:120]:
+        for bits in (64, 256):
+            with working_precision(bits):
+                dets = hodge._opposition_dets(h)
+                for r in set(dets) - set(_mirrored(h)):
+                    assert dets[r] == det_norm2(hodge._opposition_matrix(h, r)), (h, r)
+
+
+def test_exactly_vanishing_interior_pair_keeps_its_messages():
+    # w = 2, one column per level: c1 is a combination of c2 and conj c2, so
+    # F^1 = span(c1, c2) meets conj F^2 and D_1 = 0, as does its mirror D_2,
+    # while det P != 0.  With 1/3 or 2 pi i in c2 only the exact test can
+    # tell; the mirror reuses that verdict, and both messages stay
+    r = ComplexBall.from_rationals
+    for c1, c2 in (((r(1), r(0)), (r(1), r(0, 1))),
+                   ((r(1), r(0)), (r(Fraction(1, 3)), tpi(1))),
+                   ((r(0), r(1)), (tpi(1), r(Fraction(1, 3))))):
+        basis = [[r(0), c1[0], c2[0]], [r(0), c1[1], c2[1]], [r(1), r(0), r(0)]]
+        rep = purity_check(HodgeStructure(2, [0, 1, 2], basis))
+        assert rep.messages == ["F^1 meets conj F^2: D_1 = 0", "F^2 meets conj F^1: D_2 = 0"]
+
+
+def test_eliminations_per_structure(monkeypatch):
+    # one elimination for D_a and one per mirror pair or self-paired r:
+    # K3 type (3 levels) 2, h^{p,q} = 1 at w = 5 (6 levels) 4
+    calls = []
+    det = hodge.det_norm2
+
+    def counting(*args):
+        calls.append(1)
+        return det(*args)
+
+    rng = random.Random(7)
+    shapes = ((2, {0: 1, 1: 5, 2: 1}, 2), (5, {r: 1 for r in range(6)}, 4),
+              (1, {0: 2, 1: 2}, 2), (0, {0: 3}, 1))
+    structures = [(random_pure_hodge(rng, w, dims)[0], runs) for w, dims, runs in shapes]
+    monkeypatch.setattr(hodge, "det_norm2", counting)
+    for h, runs in structures:
+        calls.clear()
+        assert purity_check(h).ok and line_metric(h).lower > 0
+        assert len(calls) == runs, (h, len(calls))
+
+
+def test_pure_structure_builds_no_conjugate_ball(monkeypatch):
+    rng = random.Random(8)
+    structures = [random_pure_hodge(rng, w, dims)[0] for w, dims in
+                  ((2, {0: 1, 1: 5, 2: 1}), (5, {r: 1 for r in range(6)}))]
+    structures.append(parse_motive(example_document("elliptic:square")).hodge_structure())
+
+    def refuse(self):
+        raise AssertionError("ComplexBall.conj called")
+
+    monkeypatch.setattr(ComplexBall, "conj", refuse)
+    for h in structures:
+        for bits in (64, 128):
+            with working_precision(bits):
+                assert purity_check(h).ok and line_metric(h).lower > 0
 
 
 def test_metric_reads_no_scalar_chain(monkeypatch):

@@ -11,6 +11,8 @@ one, is a helper that belongs next to its caller.
 The precision scan keeps results independent of a caller's ``mp.prec``:
 balls take their precision from ``current_bits()``, and only
 ``working_precision`` reads ``mp.prec``, to restore it on exit.
+The raw-part scan keeps mpmath's raw ``_mpf_`` tuples inside ``balls``:
+other modules read a ball's integer parts through ``balls.ball_parts``.
 """
 
 import ast
@@ -133,3 +135,23 @@ def test_no_precision_reads(path):
     allowed = PRECISION_READERS.get(path.name, ())
     reads = precision_reads(path.read_text(encoding="utf-8"))
     assert [r for r in reads if r.split()[0] not in allowed] == []
+
+
+def raw_part_reads(source: str) -> list[str]:
+    """Lines that read an ``_mpf_`` attribute, on any object."""
+    return sorted(f"_mpf_ (line {node.lineno})" for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == "_mpf_")
+
+
+def test_scan_finds_raw_part_reads():
+    src = ("from mpmath import mpf\n"
+           "sign, man, exp, bc = mpf(3)._mpf_\n"
+           "def f(ball):\n    return ball.mid._mpf_, getattr(ball, '_mpf_')\n"
+           "x = mpf(1).man\n")
+    assert raw_part_reads(src) == ["_mpf_ (line 2)", "_mpf_ (line 4)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_raw_part_reads_outside_balls(path):
+    reads = raw_part_reads(path.read_text(encoding="utf-8"))
+    assert path.name == "balls.py" or reads == []

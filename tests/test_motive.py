@@ -387,7 +387,8 @@ def test_more_precision_never_widens_a_height():
     rng = random.Random(99)
     shapes = [(-1, {-1: g, 0: g}) for g in (1, 2, 3)] + \
         [(2, {0: 1, 1: n - 2, 2: 1}) for n in (4, 5, 6)] + \
-        [(w, {r: 1 for r in range(w + 1)}) for w in (2, 3, 4)]
+        [(w, {r: 1 for r in range(w + 1)}) for w in (2, 3, 4)] + \
+        [(5, {r: 1 for r in range(6)}), (2, {0: 1, 1: 5, 2: 1})]  # paired D_r
     motives = [parse_motive(example_document(name)) for name in
                ("trivial", "tate:1", "tate:-1", "tate:2", "elliptic:square")]
     motives += [random_motive(rng, weight, dims) for weight, dims in shapes]
