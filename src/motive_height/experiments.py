@@ -125,9 +125,11 @@ def full_quotient_spec(m: MotiveData, p: int, exponent: int = 1) -> QuotientSpec
     if not isinstance(fl, FilPhiModule):
         raise IncompatibleSpec(f"no filtered module at p={p}")
     n = m.rank
-    binv = fl.lattice.basis_inverse()
     a, b = m.window
-    fil_u = tuple((i, binv @ fl.filtration_matrix(i)) for i in range(a + 1, b))
+    # in D's basis, D^i is the last rank D^i unit columns
+    unit = QMatrix.identity(n)
+    fil_u = tuple((i, unit.block(cols=slice(n - fl.filtration_rank(i), None)))
+                  for i in range(a + 1, b))
     return QuotientSpec(p, n, QMatrix.identity(n), QMatrix.identity(n),
                         fl.phi_in_basis(), fil_u, exponent)
 
@@ -172,7 +174,6 @@ def validate_spec(m: MotiveData, spec: QuotientSpec) -> None:
     if spec.phi_u @ spec.q_dr != spec.q_dr @ fl.phi_in_basis():
         raise IncompatibleSpec("phi_U does not intertwine q_dr with phi")
     # filtration: q maps D^i onto U^i at p, and U^i is saturated
-    binv = fl.lattice.basis_inverse()
     for i in range(a + 1, b):
         u_i = dict(spec.filtration_u).get(i)
         if u_i is None:
@@ -186,8 +187,8 @@ def validate_spec(m: MotiveData, spec: QuotientSpec) -> None:
         if u_read[1]:
             raise IncompatibleSpec(f"U^{i} is not saturated at p")
         # image and U^i are equal at p iff both have the rank and index of
-        # their sum
-        image = spec.q_dr @ (binv @ fl.filtration_matrix(i))
+        # their sum; in D's basis, D^i is the last rank D^i unit columns
+        image = spec.q_dr.block(cols=slice(n - fl.filtration_rank(i), None))
         if not _rank_and_index(image, p) == u_read == _rank_and_index(image.hstack(u_i), p):
             raise IncompatibleSpec(f"q(D^{i}) differs from U^{i} at p")
     if k == n:
@@ -206,15 +207,11 @@ def validate_spec(m: MotiveData, spec: QuotientSpec) -> None:
 # the sublattice construction
 # ---------------------------------------------------------------------------
 
-def _preimage(a: QMatrix, target: QMatrix) -> QMatrix:
-    """Basis of { x in Z^cols : a x in the lattice spanned by target }: the
-    top block of the integer kernel of [a | -target]."""
-    return integer_kernel(a.hstack(target.scale(-1))).block(slice(a.cols))
-
-
 def kernel_mod(a: QMatrix, modulus: int) -> QMatrix:
-    """Basis of { c in Z^cols : a c = 0 mod modulus } (a integer)."""
-    return _preimage(a, QMatrix.identity(a.rows).scale(modulus))
+    """Basis of { c in Z^cols : a c = 0 mod modulus } (a integer): the top
+    block of the integer kernel of [a | -modulus I]."""
+    return integer_kernel(a.hstack(QMatrix.identity(a.rows).scale(-modulus))) \
+        .block(slice(a.cols))
 
 
 def sublattice_motive(m: MotiveData, spec: QuotientSpec,
@@ -222,8 +219,9 @@ def sublattice_motive(m: MotiveData, spec: QuotientSpec,
     """The motive with integral data replaced by ker(T -> U/p^n U).
 
     Same rational data and periods; the filtered module at p shrinks to the
-    declared kernels, the Betti lattice shrinks to ker(q_betti mod p^n) and
-    the period matrix is rewritten in a basis of the new lattice.
+    kernel lattice D' with the induced filtration D' ∩ D^i, which keeps the
+    coordinate levels, the Betti lattice shrinks to ker(q_betti mod p^n)
+    and the period matrix is rewritten in a basis of the new lattice.
     """
     n_exp = spec.exponent if n is None else int(n)
     if n_exp < 0:
@@ -234,20 +232,10 @@ def sublattice_motive(m: MotiveData, spec: QuotientSpec,
     p = spec.p
     q = p ** n_exp
     fl = m.local[p]
-    a, b = m.window
 
     kd = kernel_mod(spec.q_dr, q)                     # D-coordinates
     new_lattice = Lattice(fl.lattice.basis @ kd)      # ambient
-    binv = fl.lattice.basis_inverse()
-    new_fil = {}
-    for i in range(a + 1, b):
-        fil_i = fl.filtration_matrix(i)
-        w_map = spec.q_dr @ (binv @ fil_i)            # k x k_i, p-integral
-        new_fil[i] = fil_i @ _preimage(w_map, spec.u_filtration_matrix(i, (a, b)).scale(q))
-    try:
-        new_fl = FilPhiModule(p, new_lattice, fl.phi, new_fil, (a, b))
-    except ValueError as exc:
-        raise StrongDivisibilityLost(f"kernel module is malformed: {exc}")
+    new_fl = FilPhiModule(p, new_lattice, fl.phi, fl.levels, fl.window)
 
     kb_inv = kernel_mod(spec.q_betti, q).inverse()
     period = rational_ball_mul(kb_inv.data, m.period)

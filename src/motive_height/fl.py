@@ -3,10 +3,12 @@
 A module here is a full-rank lattice D in the ambient Q^n (coordinates are
 the de Rham reference basis at p, adapted to the filtration: the subspace
 spanned by a filtration step is a span of trailing standard basis vectors),
-an invertible rational Frobenius matrix, and steps D^i over a window [a, b)
-of length at most p - 1, with D^a = D, D^b = 0 and each D^i equal to
-D ∩ span(D^i) at p.  D is kept in Hermite form, lower triangular, and every
-p-local index below is read off that one basis.
+an invertible rational Frobenius matrix, and a weakly increasing level per
+coordinate inside a window [a, b) of length at most p - 1.  D is kept in
+Hermite form, lower triangular, so the step D^i = D ∩ span of the
+coordinates of level >= i is spanned by the last rank D^i columns of that
+basis: the levels are the whole filtration, and every p-local index below
+is read off the one basis.
 
 The lattice identity D = sum_i p^{-i} phi D^i (strong divisibility) is
 checked, never assumed, by ``local_valuations``: in D's Hermite basis it is
@@ -42,19 +44,23 @@ class WindowTooWide(ValueError):
 
 
 class FilPhiModule:
-    """Filtered phi-module (D, phi, (D^i)) at p.
+    """Filtered phi-module (D, phi, levels) at p.
 
-    Construction checks the shape: p prime, a window of length at most
-    p - 1, phi invertible, and each D^i adapted, of non-increasing rank and
-    equal to D ∩ span(D^i) at p.  Strong divisibility is not checked here:
-    ``local_valuations`` decides it, once per prime of a motive, and
-    ``motive.validate`` reaches it through ``MotiveData.local_spec``.
+    ``filtration`` is either the declared steps {i: D^i}, or the level of
+    each coordinate as a sequence.  Declared steps must be adapted, of
+    non-increasing rank and equal to D ∩ span(D^i) at p; they are then
+    reduced to levels.  Levels get shape checks only.  Construction also
+    checks that p is prime, the window has length at most p - 1 and phi is
+    invertible.  Strong divisibility is not checked here: ``local_valuations``
+    decides it, once per prime of a motive, and ``motive.validate`` reaches
+    it through ``MotiveData.local_spec``.
     """
 
-    __slots__ = ("p", "n", "lattice", "phi", "phi_det", "window", "_fil", "_phi_d")
+    __slots__ = ("p", "n", "lattice", "phi", "phi_det", "window", "levels", "_phi_d")
 
     def __init__(self, p: int, lattice: Lattice, phi: QMatrix,
-                 filtration: Mapping[int, QMatrix], window: tuple[int, int]):
+                 filtration: Mapping[int, QMatrix] | Sequence[int],
+                 window: tuple[int, int]):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         a, b = int(window[0]), int(window[1])
@@ -74,32 +80,38 @@ class FilPhiModule:
         self.phi_det = phi.det()
         if self.phi_det == 0:
             raise ValueError("phi must be invertible")
-        self._fil = {}
-        for i, m in filtration.items():
-            i = int(i)
-            if i <= a or i >= b:
-                self._check_boundary(i, m)
-                continue
-            self._fil[i] = m if isinstance(m, QMatrix) else QMatrix(m)
-        for i in range(a + 1, b):
-            if i not in self._fil:
-                raise ValueError(f"missing filtration step D^{i}")
-        self._validate_filtration()
+        if isinstance(filtration, Mapping):
+            self.levels = self._read_steps(filtration)
+            return
+        levels = tuple(int(l) for l in filtration)
+        if len(levels) != self.n:
+            raise ValueError(f"{len(levels)} levels for rank {self.n}")
+        if any(x > y for x, y in zip(levels, levels[1:])):
+            raise ValueError("levels must be weakly increasing")
+        if any(not a <= l < b for l in levels):
+            raise ValueError(f"levels escape the window [{a}, {b})")
+        self.levels = levels
 
-    def _check_boundary(self, i, m):
-        m = m if isinstance(m, QMatrix) else QMatrix(m)
-        a, b = self.window
-        if i <= a and m.cols != self.n:
-            raise ValueError(f"D^{i} must be all of D")
-        if i >= b and m.cols != 0:
-            raise ValueError(f"D^{i} must vanish")
-
-    def _validate_filtration(self):
+    def _read_steps(self, filtration: Mapping[int, QMatrix]) -> tuple[int, ...]:
+        """The levels of declared steps D^i, after checking each step."""
         p, n = self.p, self.n
+        a, b = self.window
+        steps = {}
+        for i, m in filtration.items():
+            i, m = int(i), m if isinstance(m, QMatrix) else QMatrix(m)
+            if i <= a and m.cols != n:
+                raise ValueError(f"D^{i} must be all of D")
+            if i >= b and m.cols != 0:
+                raise ValueError(f"D^{i} must vanish")
+            if a < i < b:
+                steps[i] = m
+        for i in range(a + 1, b):
+            if i not in steps:
+                raise ValueError(f"missing filtration step D^{i}")
         basis = self.lattice.basis
-        prev_rank = n
-        for i in range(self.window[0] + 1, self.window[1]):
-            m = self._fil[i]
+        levels, prev_rank = [], n
+        for i in range(a + 1, b):
+            m = steps[i]
             if m.rows != n:
                 raise ValueError(f"D^{i} has wrong ambient dimension")
             k = m.cols
@@ -120,17 +132,20 @@ class FilPhiModule:
                 raise ValueError(
                     f"D^{i} is not D ∩ span of the last {k} reference "
                     f"coordinates at p = {p}")
+            levels += [i - 1] * (prev_rank - k)
             prev_rank = k
+        return tuple(levels + [b - 1] * prev_rank)
 
     # ---- accessors ----
 
+    def filtration_rank(self, i: int) -> int:
+        return sum(level >= i for level in self.levels)
+
     def filtration_matrix(self, i: int) -> QMatrix:
-        a, b = self.window
-        if i <= a:
-            return self.lattice.basis
-        if i >= b:
-            return QMatrix.zeros(self.n, 0)
-        return self._fil[i]
+        """Z-basis of D^i = D ∩ span of the coordinates of level >= i: the
+        last rank D^i columns of D's Hermite basis (a declared step equals
+        it at p)."""
+        return self.lattice.basis.block(cols=slice(self.n - self.filtration_rank(i), None))
 
     def phi_in_basis(self) -> QMatrix:
         """phi_D = B^-1 phi B, phi in D's Hermite basis B; computed on first
@@ -139,21 +154,6 @@ class FilPhiModule:
             basis = self.lattice.basis
             self._phi_d = basis.solve(self.phi @ basis)
         return self._phi_d
-
-    def filtration_rank(self, i: int) -> int:
-        return self.filtration_matrix(i).cols
-
-    def coordinate_levels(self) -> list[int]:
-        """Level of each ambient coordinate under the adapted convention."""
-        a, b = self.window
-        out = []
-        for j in range(self.n):
-            level = a
-            for i in range(a + 1, b):
-                if j >= self.n - self.filtration_rank(i):
-                    level = i
-            out.append(level)
-        return out
 
     def __repr__(self):
         return (f"FilPhiModule(p={self.p}, n={self.n}, "
@@ -200,7 +200,7 @@ def check_strong_divisibility(m: FilPhiModule) -> StrongDivisibilityReport:
     iff that matrix lies in GL_n(Z_(p)): every nonzero entry of column j of
     phi_D has valuation >= l_j, and v_p(det phi) = sum_j l_j.
     """
-    p, levels = m.p, m.coordinate_levels()
+    p, levels = m.p, m.levels
     phi_d = m.phi_in_basis()
     # with phi_D = num / den: p^(l_j + v_p(den)) divides column j of num
     v_den = vp_int(phi_d.den, p)
@@ -211,13 +211,12 @@ def check_strong_divisibility(m: FilPhiModule) -> StrongDivisibilityReport:
 
 
 def tate_twist(m: FilPhiModule, r: int) -> FilPhiModule:
-    """Twist: filtration shifts by r, phi scales by p^{-r}; D and the lattice
+    """Twist: levels shift by -r, phi scales by p^{-r}; D and the lattice
     sum_i p^{-i} phi D^i are unchanged, so strong divisibility is m's."""
     r = int(r)
     a, b = m.window
-    fil = {i - r: m.filtration_matrix(i) for i in range(a + 1, b)}
     return FilPhiModule(m.p, m.lattice, m.phi.scale(Fraction(1, m.p) ** r),
-                        fil, (a - r, b - r))
+                        [level - r for level in m.levels], (a - r, b - r))
 
 
 # ---------------------------------------------------------------------------
@@ -331,56 +330,31 @@ def merge_by_level(levels_a: Sequence[int], levels_b: Sequence[int]):
     return [(side, j) for _, side, j in tagged]
 
 
-def _embed_columns(cols: Sequence[Sequence], side: int, order, n: int):
-    out = []
-    for c in cols:
-        full = [Fraction(0)] * n
-        for new_i, (s, old_i) in enumerate(order):
-            if s == side:
-                full[new_i] = c[old_i]
-        out.append(full)
-    return out
-
-
 def direct_sum(m1: FilPhiModule, m2: FilPhiModule) -> FilPhiModule:
-    """Block direct sum with coordinates re-interleaved by level."""
+    """Block direct sum with coordinates re-interleaved by level: D and phi
+    are the block sums with rows and columns in the merged order, so D^i is
+    the sum of the summands' steps."""
     if m1.p != m2.p:
         raise ValueError("direct sum requires a common prime")
     if m1.window != m2.window:
         raise ValueError("direct sum requires a common window")
-    order = merge_by_level(m1.coordinate_levels(), m2.coordinate_levels())
-    n = m1.n + m2.n
-    sides = (m1, m2)
-    lat_cols = _embed_columns(m1.lattice.basis.columns(), 0, order, n) + \
-        _embed_columns(m2.lattice.basis.columns(), 1, order, n)
-    lattice = Lattice(QMatrix.from_columns(lat_cols, rows=n))
-    phi = [[Fraction(0)] * n for _ in range(n)]
-    for i_new, (si, i_old) in enumerate(order):
-        for j_new, (sj, j_old) in enumerate(order):
-            if si == sj:
-                phi[i_new][j_new] = sides[si].phi[i_old, j_old]
-    a, b = m1.window
-    fil = {}
-    for i in range(a + 1, b):
-        cols = _embed_columns(m1.filtration_matrix(i).columns(), 0, order, n) + \
-            _embed_columns(m2.filtration_matrix(i).columns(), 1, order, n)
-        fil[i] = QMatrix.from_columns(cols, rows=n)
-    return FilPhiModule(m1.p, lattice, QMatrix(phi), fil, m1.window)
+    order = merge_by_level(m1.levels, m2.levels)
+
+    def interleaved(*blocks: QMatrix) -> QMatrix:
+        return QMatrix([[blocks[si][i, j] if si == sj else 0 for sj, j in order]
+                        for si, i in order])
+
+    levels = [(m1, m2)[side].levels[j] for side, j in order]
+    return FilPhiModule(m1.p, Lattice(interleaved(m1.lattice.basis, m2.lattice.basis)),
+                        interleaved(m1.phi, m2.phi), levels, m1.window)
 
 
 def standard_module(p: int, levels: Sequence[int]) -> FilPhiModule:
     """The split default-good module: standard lattice, adapted standard
     filtration, phi = diag(p^level)."""
     levels = [int(l) for l in levels]
-    if any(levels[i] > levels[i + 1] for i in range(len(levels) - 1)):
-        raise ValueError("levels must be weakly increasing")
     n = len(levels)
-    a, b = min(levels), max(levels) + 1
     phi = QMatrix([[Fraction(p) ** levels[j] if i == j else 0
                     for j in range(n)] for i in range(n)])
-    fil = {}
-    for i in range(a + 1, b):
-        cols = [[1 if t == j else 0 for t in range(n)]
-                for j in range(n) if levels[j] >= i]
-        fil[i] = QMatrix.from_columns(cols, rows=n)
-    return FilPhiModule(p, Lattice.standard(n), phi, fil, (a, b))
+    return FilPhiModule(p, Lattice.standard(n), phi, levels,
+                        (min(levels), max(levels) + 1))

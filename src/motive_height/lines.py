@@ -23,7 +23,7 @@ class NotSublattice(ValueError):
 class Lattice:
     """Full-rank lattice in Q^n: the column Hermite form of its generators."""
 
-    __slots__ = ("n", "basis", "_inverse")
+    __slots__ = ("n", "basis")
 
     def __init__(self, generators: QMatrix):
         """Any n x m generator matrix of rank n; its Hermite form has one
@@ -32,14 +32,6 @@ class Lattice:
         self.n = generators.rows
         if self.basis.cols != self.n:
             raise ValueError("lattice basis is singular")
-        self._inverse = None
-
-    def basis_inverse(self) -> QMatrix:
-        """basis^-1, which takes ambient coordinates to coordinates in the
-        basis; computed on first use and kept."""
-        if self._inverse is None:
-            self._inverse = self.basis.inverse()
-        return self._inverse
 
     @classmethod
     def standard(cls, n: int) -> "Lattice":

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping, Sequence, Union
 
 from .balls import ComplexBall, RealBall, ball_matrix, rational_ball_mul
@@ -110,7 +111,8 @@ class MotiveData:
                  bad_primes: Sequence[int] = (), label: str = "M"):
         self.type = type
         self.period = ball_matrix(period)
-        self.local = dict(sorted((int(p), d) for p, d in (local or {}).items()))
+        self.local = MappingProxyType(
+            dict(sorted((int(p), d) for p, d in (local or {}).items())))
         self.bad_primes = frozenset(int(p) for p in bad_primes)
         self.label = label
         self._cache: dict = {}
@@ -350,9 +352,7 @@ def standard_module_for(t: MotiveType, p: int) -> FilPhiModule:
     m = standard_module(p, t.levels())
     if m.window != t.window:
         # re-declare over the motive's window (padding is trivial)
-        fil = {i: m.filtration_matrix(i)
-               for i in range(t.window[0] + 1, t.window[1])}
-        m = FilPhiModule(p, m.lattice, m.phi, fil, t.window)
+        m = FilPhiModule(p, m.lattice, m.phi, m.levels, t.window)
     return m
 
 
@@ -389,12 +389,11 @@ def rebase_reference(m: MotiveData, r_mat: QMatrix) -> MotiveData:
     for p in sorted(set(m.local) | touched):
         datum = m.local.get(p)
         if isinstance(datum, FilPhiModule):
+            # r_inv is adapted too: it keeps each trailing span, so
+            # r_inv D ∩ span = r_inv (D ∩ span) and the levels stay
             local[p] = FilPhiModule(
                 p, Lattice(r_inv @ datum.lattice.basis),
-                r_inv @ datum.phi @ r_mat,
-                {i: r_inv @ datum.filtration_matrix(i)
-                 for i in range(a + 1, b)},
-                (a, b))
+                r_inv @ datum.phi @ r_mat, datum.levels, (a, b))
         else:
             spec = m.local_spec(p)
             local[p] = LocalLatticeSpec.from_map(
@@ -485,5 +484,4 @@ def elliptic_curve_h1(omega1: ComplexBall, omega2: ComplexBall,
 def elliptic_fl_module(p: int, a_p: int) -> FilPhiModule:
     """Good-reduction filtered module of H_1 at p with trace a_p."""
     phi = QMatrix([[Fraction(a_p, p), 1], [Fraction(-1, p), 0]])
-    fil = {0: QMatrix.from_columns([(0, 1)], rows=2)}
-    return FilPhiModule(p, Lattice.standard(2), phi, fil, (-1, 1))
+    return FilPhiModule(p, Lattice.standard(2), phi, (-1, 0), (-1, 1))

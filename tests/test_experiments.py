@@ -434,6 +434,15 @@ def test_abc_report_rows_deterministic():
     assert lines[2].startswith("Q(0)\t0\t1\t0.0")
 
 
+def _elliptic_with_declared_step():
+    # D^0 declared as (1/3) e_2: it equals D ∩ span(e_2) = Z e_2 at p = 5 only
+    from motive_height.documents import example_document, parse_motive
+    doc = example_document("elliptic:square")
+    (fl5,) = [entry["fl"] for entry in doc["local"] if entry["p"] == 5]
+    fl5["filtration"] = [{"i": 0, "basis": [["0"], ["1/3"]]}]
+    return parse_motive(doc)
+
+
 def test_invariance_experiment_one_metric_per_motive(monkeypatch):
     import motive_height.motive as motive_mod
 
@@ -445,11 +454,13 @@ def test_invariance_experiment_one_metric_per_motive(monkeypatch):
         return original(h, target)
 
     monkeypatch.setattr(motive_mod, "line_metric", counting)
-    m = tate_motive(1, fl_primes=(3,))
-    rep = invariance_experiment(m, full_quotient_spec(m, 3), 2)
-    assert rep.passed
-    assert len(calls) == 2
-    assert rep.lattice_ratio == rep.sub_height.lattice_scalar / rep.base_height.lattice_scalar
+    for m, p in [(tate_motive(1, fl_primes=(3,)), 3),
+                 (_elliptic_with_declared_step(), 5)]:
+        calls.clear()
+        rep = invariance_experiment(m, full_quotient_spec(m, p), 2)
+        assert rep.passed, rep.messages
+        assert len(calls) == 2
+        assert rep.lattice_ratio == rep.sub_height.lattice_scalar / rep.base_height.lattice_scalar
 
 
 def test_sublattice_strong_divisibility_verdict_comes_from_local_valuations(monkeypatch):

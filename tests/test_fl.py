@@ -221,7 +221,7 @@ def test_strong_divisibility_invariant_under_adapted_rebasing(rng):
     for _ in range(10):
         p = rng.choice([3, 5])
         m = random_fl_module(rng, p)
-        levels = m.coordinate_levels()
+        levels = m.levels
         g = adapted_block_lower(rng, levels, p)
         ginv = g.inverse()
         lattice = Lattice(g @ m.lattice.basis)
@@ -381,7 +381,7 @@ def test_local_valuations_match_projection_formula(rng):
     for _ in range(30):
         p = rng.choice([3, 5, 7])
         m = random_fl_module(rng, p)
-        g = adapted_block_lower(rng, m.coordinate_levels(), p)
+        g = adapted_block_lower(rng, m.levels, p)
         c = Fraction(p) ** rng.randint(-2, 2)
         a, b = m.window
         rebased = FilPhiModule(

@@ -16,16 +16,6 @@ from motive_height.rational import QMatrix, hnf_rational
 from conftest import random_unimodular
 
 
-def test_basis_inverse_is_computed_once(monkeypatch):
-    # quotient specs and sublattice motives all read D's basis inverse
-    lattice = Lattice(QMatrix([[2, 0], [1, 3]]))
-    calls, inverse = [], QMatrix.inverse
-    monkeypatch.setattr(QMatrix, "inverse", lambda m: calls.append(m) or inverse(m))
-    assert lattice.basis @ lattice.basis_inverse() == QMatrix.identity(2)
-    assert lattice.basis_inverse() is lattice.basis_inverse()
-    assert len(calls) == 1
-
-
 def test_quotient_valuation_equal_lattices():
     l = Lattice.standard(3)
     assert quotient_lattice_valuation(l, l, 5) == 0

@@ -365,6 +365,61 @@ def test_rebasing_covariance(rng):
         assert height(m).h.overlaps(height(m2).h), (height(m).h, height(m2).h)
 
 
+def test_constructed_modules_pass_init_and_equal_their_reread_steps(monkeypatch, rng):
+    # the constructions pass levels, not steps: each module they build still
+    # goes through FilPhiModule.__init__ (which the benchmark counts), and
+    # declaring its own steps D ∩ span gives back the same module
+    from motive_height.experiments import full_quotient_spec, sublattice_motive
+    from motive_height.fl import check_strong_divisibility, local_valuations
+    from motive_height.motive import rebase_reference, standard_module_for
+
+    built, init = [], FilPhiModule.__init__
+
+    def counting(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(FilPhiModule, "__init__", counting)
+    modules = []
+
+    def made(build):
+        start = len(built)
+        module = build()
+        assert any(module is x for x in built[start:])
+        modules.append(module)
+
+    for _ in range(4):
+        m1 = random_motive(rng, weight=0, primes=(5,), max_rank=2, label="A")
+        m2 = random_motive(rng, weight=0, dims=dict(m1.type.hodge_numbers),
+                           primes=(5,), max_rank=2, label="B")
+        msum = direct_sum(m1, m2)
+        made(lambda: direct_sum(m1, m2).local[5])
+        made(lambda: tate_twist(msum, rng.choice([-1, 1, 2])).local[5])
+        r_mat = adapted_block_lower(rng, msum.type.levels(), 5).scale(Fraction(2, 3))
+        made(lambda: rebase_reference(msum, r_mat).local[5])
+        made(lambda: sublattice_motive(msum, full_quotient_spec(msum, 5)).local[5])
+        made(lambda: standard_module_for(msum.type, 7))
+    made(lambda: standard_module_for(MotiveType.of(-2, {-1: 1}, (-1, 2)), 5))
+
+    for module in modules:
+        a, b = module.window
+        steps = {i: module.filtration_matrix(i) for i in range(a + 1, b)}
+        again = FilPhiModule(module.p, module.lattice, module.phi, steps, module.window)
+        assert again.levels == module.levels
+        assert check_strong_divisibility(again).ok == check_strong_divisibility(module).ok
+        assert local_valuations(again) == local_valuations(module)
+
+
+def test_local_data_are_read_only():
+    m = tate_motive(1)
+    before = height(m).h
+    with pytest.raises(TypeError):
+        m.local[7] = LocalLatticeSpec.from_map(7, (-2, 0), {0: 3})
+    assert 7 not in m.local
+    after = height(m).h
+    assert (after.mid, after.rad) == (before.mid, before.rad)
+
+
 def test_order_independence_of_local_data(rng):
     m = random_motive(rng, primes=(3, 5, 7))
     shuffled = dict(reversed(list(m.local.items())))
