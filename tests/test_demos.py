@@ -1,22 +1,17 @@
 """Every script in demos/ runs to the end and prints what it printed when
 its golden file under tests/golden/ was written.
 
-After a deliberate change to a demo's output, regenerate its golden file
+After a deliberate change to a demo's output, regenerate the golden files
 from the repository root with
 
-    PYTHONPATH=src python demos/<demo>.py > tests/golden/<demo>.txt
-"""
+    PYTHONPATH=src python tests/golden/regenerate.py
 
-import contextlib
-import io
-import pathlib
-import runpy
+and review the diff.
+"""
 
 import pytest
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-DEMOS = sorted((ROOT / "demos").glob("*.py"))
-GOLDEN = ROOT / "tests" / "golden"
+from golden.regenerate import DEMOS, GOLDEN, STALE, demo_output
 
 
 def test_demos_found():
@@ -25,9 +20,8 @@ def test_demos_found():
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(path):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        runpy.run_path(str(path), run_name="__main__")
-    assert out.getvalue() == (GOLDEN / f"{path.stem}.txt").read_text(encoding="utf-8")
+    out = demo_output(path)
+    golden = GOLDEN / f"{path.stem}.txt"
+    assert out == golden.read_text(encoding="utf-8"), STALE.format(golden.name)
     if path.name == "height_invariance.py":
-        assert out.getvalue().count("all identities: pass") == 4
+        assert out.count("all identities: pass") == 4
