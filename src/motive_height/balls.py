@@ -21,8 +21,10 @@ each.  Every rounding is bounded in integers, and an ulp is added only where
 bits are dropped, so exact data stay exact.  The elimination reads only the
 integer parts that ``ball_parts`` takes from a matrix; they do not depend on
 the precision, so a caller that eliminates many matrices built from the
-same entries (the opposition determinants of one Hodge structure) reads
-those entries once.
+same entries reads those entries once.  ``det_norm2`` also reads the
+determinants of matrices that share their leading columns (the opposition
+determinants of one Hodge structure) off one elimination, each from the
+pivots of the shared prefix and of its own Schur complement.
 
 Precision is process-global: use ``working_precision(bits)`` around a
 computation.  The stated bit count is the nominal fractional precision; a
@@ -556,25 +558,32 @@ def _complex_ball(re: int, im: int, rad: int, exp: int) -> ComplexBall:
     return ComplexBall(_rounded(re, exp, 1, rad, exp), _rounded(im, exp, 1, rad, exp))
 
 
-def _eliminate(full: tuple):
-    """Eliminate the ``ball_parts`` rows [a | rhs], a square, in fixed point,
-    pivoting on the largest |mid|^2: below each pivot, or in every other row
-    when rhs has columns (Gauss-Jordan).  Returns (F, pivots, rows, sign,
-    exp, col): pivot k is (pr, pi, rp, |p|^2, isqrt |p|^2), row k the lists
-    (re, im, radius) of its row, column j was scaled by 2^-col[j], and
-    det a = sign prod_k (pr + i pi) 2^exp."""
+def _fixed_point(full: tuple):
+    """The ``ball_parts`` rows [a | rest], a square, in fixed point.  Returns
+    (F, rows, exp, col): row k the lists (re, im, radius) of its Gaussian
+    integers and disk radii, column j scaled by 2^-col[j], each row by a
+    power of two that brings its largest entry of a near 1, and
+    det a = +- prod (scaled pivots) 2^exp."""
     n, frac = len(full), _prec() + _FIX_GUARD
-    mask = (1 << frac) - 1
     col = [max((mag for mag, _ in c if mag is not None), default=0) for c in zip(*full)]
-    gauss_jordan = len(col) > n
-    rows, exp, sign, pivots = [], sum(col[:n]) - n * frac, 1, []
+    rows, exp = [], sum(col[:n]) - n * frac
     for row in full:
         top = max((mag - c for (mag, _), c in zip(row[:n], col) if mag is not None),
                   default=0)
         exp += top
         rows.append(tuple(map(list, zip(*(_fixed(parts, frac - top - c)
                                           for (_, parts), c in zip(row, col))))))
-    for k in range(n):
+    return frac, rows, exp, col
+
+
+def _eliminate(rows: list, pivots: list, stop: int, frac: int, every_row: bool = False) -> int:
+    """Pivot steps len(pivots) .. stop - 1 on fixed-point rows, in place:
+    step k pivots on the largest |mid|^2 of column k among rows k.., and
+    clears column k below the pivot, or in every other row (Gauss-Jordan).
+    Pivot k is (pr, pi, rp, |p|^2, isqrt |p|^2); returns the sign of the
+    row swaps."""
+    n, mask, sign = len(rows), (1 << frac) - 1, 1
+    for k in range(len(pivots), stop):
         piv = max(range(k, n), key=lambda i: rows[i][0][k] ** 2 + rows[i][1][k] ** 2)
         if piv != k:
             rows[k], rows[piv], sign = rows[piv], rows[k], -sign
@@ -584,18 +593,18 @@ def _eliminate(full: tuple):
         if pivots[-1][4] <= prad[k]:
             raise PrecisionExhausted("a pivot ball contains zero at the working precision")
         babs = [isqrt(x * x + y * y) + 1 for x, y in zip(pre, pim)]
-        for i in (range(n) if gauss_jordan else range(k + 1, n)):
+        for i in (range(n) if every_row else range(k + 1, n)):
             re, im, rad = rows[i]
             fr, fi, rf = _divide(re[k], im[k], rad[k], pivots[-1], frac) if i != k else (0, 0, 0)
             fabs = isqrt(fr * fr + fi * fi) + 1
-            for j in range(k + 1, len(col)) if fr or fi or rf else ():
+            for j in range(k + 1, len(re)) if fr or fi or rf else ():
                 xr, xi = fr * pre[j] - fi * pim[j], fr * pim[j] + fi * pre[j]
                 re[j] -= xr >> frac
                 im[j] -= xi >> frac
                 # c - f b moves by <= |f| rb + |b| rf + rf rb, plus two floors
                 rad[j] += ((xr & mask) != 0) + ((xi & mask) != 0) - (
                     -(fabs * prad[j] + babs[j] * rf + rf * prad[j]) >> frac)
-    return frac, pivots, rows, sign, exp, col
+    return sign
 
 
 def ball_lu_solve(a: BallMatrix, b: BallMatrix) -> BallMatrix:
@@ -604,19 +613,16 @@ def ball_lu_solve(a: BallMatrix, b: BallMatrix) -> BallMatrix:
     Raises PrecisionExhausted if some pivot ball contains zero (the matrix
     cannot be certified invertible at the working precision).
     """
-    frac, pivots, rows, _, _, col = _eliminate(
-        ball_parts(tuple(ra) + tuple(rb) for ra, rb in zip(a, b)))
+    frac, rows, _, col = _fixed_point(ball_parts(tuple(ra) + tuple(rb) for ra, rb in zip(a, b)))
+    pivots = []
+    _eliminate(rows, pivots, len(a), frac, every_row=True)
     return tuple(tuple(_complex_ball(*_divide(re[j], im[j], rad[j], pivot, frac),
                                      col[j] - col[k] - frac) for j in range(len(a), len(re)))
                  for k, ((re, im, rad), pivot) in enumerate(zip(rows, pivots)))
 
 
-def det_norm2(a: BallMatrix) -> tuple[int, int, int]:
-    """|det a|^2 as integers (lo, hi, e) with lo 2^e <= |det a|^2 <= hi 2^e:
-    a pivot disk p +- r, with N = |p|^2 and s = isqrt N <= |p| < s + 1, puts
-    |P|^2 in [max(N - 2r(s + 1) + r^2, (s - r)^2), N + 2r(s + 1) + r^2], whose
-    lower end is >= 1 as s > r is certified, and which is N when r = 0."""
-    _, pivots, _, _, exp, _ = _eliminate(ball_parts(a))
+def _norm2(pivots: list, exp: int) -> tuple[int, int, int]:
+    """|prod p_k 2^exp|^2 as (lo, hi, e), for ``det_norm2``."""
     lo = hi = 1
     for _, _, r, norm, s in pivots:
         lo *= max(norm - 2 * r * (s + 1) + r * r, (s - r) ** 2)
@@ -624,10 +630,49 @@ def det_norm2(a: BallMatrix) -> tuple[int, int, int]:
     return lo, hi, 2 * exp
 
 
+def det_norm2(a: BallMatrix, branches=None) -> tuple | dict:
+    """|det a|^2 as integers (lo, hi, e) with lo 2^e <= |det a|^2 <= hi 2^e:
+    a pivot disk p +- r, with N = |p|^2 and s = isqrt N <= |p| < s + 1, puts
+    |P|^2 in [max(N - 2r(s + 1) + r^2, (s - r)^2), N + 2r(s + 1) + r^2], whose
+    lower end is >= 1 as s > r is certified, and which is N when r = 0.
+
+    With ``branches``, a is [M | C] for a square M, and the result maps each
+    k in branches to |det[M_{:k} | C_{:n-k}]|^2 (k = n is det M), or to None
+    where a pivot is not certified, all from one elimination along M.  After
+    k steps the last n - k rows of C's first n - k columns are the Schur
+    complement S of the leading block, so det[M_{:k} | C_{:n-k}] =
+    +- (the first k pivots) det S, and S is eliminated on a copy.  A column
+    of C is dropped once no later branch needs it."""
+    frac, rows, exp, col = _fixed_point(ball_parts(a))
+    n, pivots = len(rows), []
+    if branches is None:
+        _eliminate(rows, pivots, n, frac)
+        return _norm2(pivots, exp)
+    ks, out = sorted(branches), {}
+    for i, k in enumerate(ks):
+        try:
+            _eliminate(rows, pivots, k, frac)
+        except PrecisionExhausted:  # no later branch has certified pivots
+            return {**out, **dict.fromkeys(ks[i:])}
+        m, schur = n - k, []
+        try:
+            _eliminate([tuple(part[n:n + m] for part in row) for row in rows[k:]],
+                       schur, m, frac)
+            out[k] = _norm2(pivots + schur, exp + sum(col[n:n + m]) - sum(col[k:n]))
+        except PrecisionExhausted:
+            out[k] = None
+        keep = 2 * n - ks[i + 1] if i + 1 < len(ks) else n
+        for part in (part for row in rows for part in row):
+            del part[keep:]
+    return out
+
+
 def ball_det(a: BallMatrix) -> ComplexBall:
     """det a = sign prod p_k, with radius prod (|p_k| + r_k) - prod |p_k|:
     that grows with each |p_k|, so upper bounds of |p_k| may stand in."""
-    _, pivots, _, sign, exp, _ = _eliminate(ball_parts(a))
+    frac, rows, exp, _ = _fixed_point(ball_parts(a))
+    pivots = []
+    sign = _eliminate(rows, pivots, len(rows), frac)
     re, im, upper, widened = sign, 0, 1, 1
     for pr, pi, rp, _, low in pivots:
         re, im = re * pr - im * pi, re * pi + im * pr

@@ -30,6 +30,7 @@ from typing import Mapping, Sequence
 from .lines import Lattice
 from .rational import (
     QMatrix,
+    WriteOnce,
     diagonal_valuations,
     integer_kernel,
     is_prime,
@@ -43,7 +44,7 @@ class WindowTooWide(ValueError):
     """Filtration window longer than p - 1: the construction does not apply."""
 
 
-class FilPhiModule:
+class FilPhiModule(WriteOnce):
     """Filtered phi-module (D, phi, levels) at p.
 
     ``filtration`` is either the declared steps {i: D^i}, or the level of
@@ -69,19 +70,14 @@ class FilPhiModule:
         if b - a > p - 1:
             raise WindowTooWide(
                 f"window length {b - a} exceeds p - 1 = {p - 1} at p = {p}")
-        self.p = p
-        self.n = lattice.n
-        self.lattice = lattice
-        self.phi = phi
-        self._phi_d = None
-        self.window = (a, b)
+        self._set(p=p, n=lattice.n, lattice=lattice, phi=phi, window=(a, b))
         if phi.rows != self.n or phi.cols != self.n:
             raise ValueError("phi shape mismatch")
-        self.phi_det = phi.det()
+        self._set(phi_det=phi.det())
         if self.phi_det == 0:
             raise ValueError("phi must be invertible")
         if isinstance(filtration, Mapping):
-            self.levels = self._read_steps(filtration)
+            self._set(levels=self._read_steps(filtration))
             return
         levels = tuple(int(l) for l in filtration)
         if len(levels) != self.n:
@@ -90,7 +86,7 @@ class FilPhiModule:
             raise ValueError("levels must be weakly increasing")
         if any(not a <= l < b for l in levels):
             raise ValueError(f"levels escape the window [{a}, {b})")
-        self.levels = levels
+        self._set(levels=levels)
 
     def _read_steps(self, filtration: Mapping[int, QMatrix]) -> tuple[int, ...]:
         """The levels of declared steps D^i, after checking each step."""
@@ -150,9 +146,9 @@ class FilPhiModule:
     def phi_in_basis(self) -> QMatrix:
         """phi_D = B^-1 phi B, phi in D's Hermite basis B; computed on first
         use and kept."""
-        if self._phi_d is None:
+        if not hasattr(self, "_phi_d"):
             basis = self.lattice.basis
-            self._phi_d = basis.solve(self.phi @ basis)
+            self._set(_phi_d=basis.solve(self.phi @ basis))
         return self._phi_d
 
     def __repr__(self):
@@ -349,12 +345,14 @@ def direct_sum(m1: FilPhiModule, m2: FilPhiModule) -> FilPhiModule:
                         interleaved(m1.phi, m2.phi), levels, m1.window)
 
 
-def standard_module(p: int, levels: Sequence[int]) -> FilPhiModule:
+def standard_module(p: int, levels: Sequence[int],
+                    window: tuple[int, int] | None = None) -> FilPhiModule:
     """The split default-good module: standard lattice, adapted standard
-    filtration, phi = diag(p^level)."""
+    filtration, phi = diag(p^level), over ``window`` (by default the
+    levels' span)."""
     levels = [int(l) for l in levels]
     n = len(levels)
     phi = QMatrix([[Fraction(p) ** levels[j] if i == j else 0
                     for j in range(n)] for i in range(n)])
     return FilPhiModule(p, Lattice.standard(n), phi, levels,
-                        (min(levels), max(levels) + 1))
+                        window or (min(levels), max(levels) + 1))

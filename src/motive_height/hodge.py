@@ -26,18 +26,29 @@ form,
 
     |ref| = |det P|^a * prod_{a<r<b} |D_r|^{1/2}.
 
-Each |D_r|^2 is an integer interval read off the pivot norms of one ball
+Each |D_r|^2 is an integer interval read off the pivot norms of a ball
 elimination, so the metric needs one pair of integer fourth roots.  The
 dimension test at r = a and r = b forces a + b = w + 1, so r -> w + 1 - r
 pairs the interior levels, and |D_{w+1-r}| = |D_r|: conjugation is an exact
 sign flip, so [conj F^r | F^{w+1-r}] is entrywise the conjugate of D_r's
-matrix, and swapping its column blocks gives D_{w+1-r}'s.  One elimination
-serves each pair, and the basis is read into the elimination's integer form
-once per structure.  A D_r is zero only by the exact test, when some pivot
-is not certified nonzero and every entry is known exactly (an exact ball, or
-a Gaussian rational times a power of 2 pi i); an exactly vanishing D_r means
-the structure is not pure.  Otherwise the working precision cannot tell:
-PrecisionExhausted is raised.
+matrix, and swapping its column blocks gives D_{w+1-r}'s.  Only the D_r
+with r <= w + 1 - r are computed, all from one elimination per structure
+and precision, because the filtration is nested: with P's columns ordered
+by descending level each F^r is a prefix, the conjugate columns are carried
+beside them, and D_r branches off after dim F^r pivot steps by the Schur
+complement identity
+
+    det[A | B] = +- (the pivots of A's steps) * det S_B,
+
+S_B the rows of B that the prefix steps leave below A's pivots.  The main
+line ends in det P.  The basis is read into the elimination's integer form
+once per structure.  A D_r whose branch meets a pivot that is not certified
+nonzero is eliminated on its own, and only that elimination can lead to
+the verdicts below.  A D_r is zero only by the exact test, when some pivot
+of its own elimination is not certified nonzero and every entry is known
+exactly (an exact ball, or a Gaussian rational times a power of 2 pi i); an
+exactly vanishing D_r means the structure is not pure.  Otherwise the working
+precision cannot tell: PrecisionExhausted is raised.
 """
 
 from __future__ import annotations
@@ -61,20 +72,18 @@ from .balls import (
     det_norm2,
 )
 from .fl import merge_by_level
-from .rational import QMatrix
+from .rational import QMatrix, WriteOnce
 
 
-class HodgeStructure:
+class HodgeStructure(WriteOnce):
     """Integral lattice Z^n with a level-adapted complex Hodge filtration."""
 
     __slots__ = ("n", "weight", "levels", "basis", "_cache")
 
     def __init__(self, weight: int, levels: Sequence[int], basis: BallMatrix):
-        self.weight = int(weight)
-        self.levels = tuple(int(l) for l in levels)
-        self.basis = ball_matrix(basis)
-        self.n = len(self.levels)
-        self._cache = {}
+        levels = tuple(int(l) for l in levels)
+        self._set(weight=int(weight), levels=levels, basis=ball_matrix(basis),
+                  n=len(levels), _cache={})
         if any(self.levels[i] > self.levels[i + 1] for i in range(self.n - 1)):
             raise ValueError("column levels must be weakly increasing")
         if len(self.basis) != self.n or any(len(r) != self.n for r in self.basis):
@@ -142,33 +151,45 @@ def _opposition_dets(h: HodgeStructure) -> dict[int, tuple[int, int, int] | None
     """|D_r|^2 by ``det_norm2`` for a <= r < b, cached per precision; None is
     an exactly vanishing D_r.  Requires the dimension test of ``purity_check``.
 
-    The basis is read into the elimination's integer form once per structure,
-    with its conjugate beside it, and each D_r takes its columns from the two.
-    An interior D_r whose mirror D_{w+1-r} is known is not eliminated: it has
-    the same modulus (see the module docstring)."""
+    The basis is read into the elimination's integer form once per
+    structure.  One elimination runs along P's columns by descending level,
+    carrying the conjugate columns, and reads each D_r with r <= w + 1 - r
+    off its branch after dim F^r steps; its mirror has the same modulus (see
+    the module docstring).  A D_r whose branch has a pivot that is not
+    certified is eliminated on its own, and then decided exactly."""
     key = ("dets", current_bits())
     if key not in h._cache:
         if "parts" not in h._cache:
-            parts = ball_parts(h.basis)
-            h._cache["parts"] = parts, tuple(tuple(map(conj_parts, row)) for row in parts)
-        parts, conj = h._cache["parts"]
-        lo, hi = h.window()
-        w, dets = h.weight, {}
+            h._cache["parts"] = ball_parts(h.basis)
+        parts, (lo, hi), w, n = h._cache["parts"], h.window(), h.weight, h.n
+        dims = {r: h.filtration_dim(r) for r in range(lo, hi) if 2 * r <= w + 1}
+        order = sorted(range(n), key=lambda j: -h.levels[j])  # each F^r a prefix
+        carried = order[:n - min(dims.values(), default=n)]
+        shared = det_norm2(tuple(tuple(row[j] for j in order)
+                                 + tuple(conj_parts(row[j]) for j in carried)
+                                 for row in parts), set(dims.values()))
+        dets = {}
         for r in range(lo, hi):
-            if w + 1 - r in dets:
+            if r in dims:
+                dets[r] = shared[dims[r]] or _own_det(h, r)
+            else:
                 dets[r] = dets[w + 1 - r]
-                continue
-            own, mirror = h.n - h.filtration_dim(r), h.n - h.filtration_dim(w + 1 - r)
-            try:
-                dets[r] = det_norm2(tuple(p[own:] + c[mirror:] for p, c in zip(parts, conj)))
-            except PrecisionExhausted:
-                if not _exactly_singular(_opposition_matrix(h, r)):
-                    raise PrecisionExhausted(
-                        f"D_{r} = det[F^{r} | conj F^{w + 1 - r}] cannot be "
-                        f"certified nonzero at {current_bits()} bits") from None
-                dets[r] = None
         h._cache[key] = dets
     return h._cache[key]
+
+
+def _own_det(h: HodgeStructure, r: int) -> tuple[int, int, int] | None:
+    """|D_r|^2 from D_r's own elimination, None when D_r vanishes exactly."""
+    own, mirror = h.n - h.filtration_dim(r), h.n - h.filtration_dim(h.weight + 1 - r)
+    try:
+        return det_norm2(tuple(row[own:] + tuple(map(conj_parts, row[mirror:]))
+                               for row in h._cache["parts"]))
+    except PrecisionExhausted:
+        if not _exactly_singular(_opposition_matrix(h, r)):
+            raise PrecisionExhausted(
+                f"D_{r} = det[F^{r} | conj F^{h.weight + 1 - r}] cannot be "
+                f"certified nonzero at {current_bits()} bits") from None
+        return None
 
 
 # ---------------------------------------------------------------------------

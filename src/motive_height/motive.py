@@ -32,7 +32,7 @@ from . import fl as fl_mod
 from .fl import FilPhiModule, LocalLatticeSpec, standard_module
 from .hodge import HodgeStructure, line_metric, purity_check
 from .lines import Lattice, MetrizedLine, intersect_adelic
-from .rational import QMatrix, is_prime, prime_factors, vp
+from .rational import QMatrix, WriteOnce, is_prime, prime_factors, vp
 
 
 class WeightMismatch(ValueError):
@@ -104,18 +104,16 @@ class MotiveType:
 LocalDatum = Union[FilPhiModule, LocalLatticeSpec]
 
 
-class MotiveData:
+class MotiveData(WriteOnce):
     """Full realization datum of a Z-motive over Q."""
+
+    __slots__ = ("type", "period", "local", "bad_primes", "label", "_cache")
 
     def __init__(self, type: MotiveType, period, local: Mapping[int, LocalDatum] | None = None,
                  bad_primes: Sequence[int] = (), label: str = "M"):
-        self.type = type
-        self.period = ball_matrix(period)
-        self.local = MappingProxyType(
-            dict(sorted((int(p), d) for p, d in (local or {}).items())))
-        self.bad_primes = frozenset(int(p) for p in bad_primes)
-        self.label = label
-        self._cache: dict = {}
+        local = dict(sorted((int(p), d) for p, d in (local or {}).items()))
+        self._set(type=type, period=ball_matrix(period), local=MappingProxyType(local),
+                  bad_primes=frozenset(int(p) for p in bad_primes), label=label, _cache={})
 
     @property
     def rank(self) -> int:
@@ -349,11 +347,7 @@ def direct_sum(m1: MotiveData, m2: MotiveData) -> MotiveData:
 
 def standard_module_for(t: MotiveType, p: int) -> FilPhiModule:
     """Default-good filtered module matching a type (split Frobenius)."""
-    m = standard_module(p, t.levels())
-    if m.window != t.window:
-        # re-declare over the motive's window (padding is trivial)
-        m = FilPhiModule(p, m.lattice, m.phi, m.levels, t.window)
-    return m
+    return standard_module(p, t.levels(), t.window)
 
 
 def rebase_reference(m: MotiveData, r_mat: QMatrix) -> MotiveData:

@@ -53,6 +53,24 @@ def _rational(x):
     raise TypeError(f"matrix entries must be exact rationals, got {type(x).__name__}")
 
 
+class WriteOnce:
+    """Refuses attribute assignment and deletion, so no kept result can sit
+    beside a rebound input.  Each attribute is set once through ``_set``, by
+    the constructor or by the first use of a kept result."""
+
+    __slots__ = ()
+
+    def _set(self, **attrs) -> None:
+        for name, value in attrs.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+
 class QMatrix:
     """Immutable matrix with exact rational entries: integer rows ``num``
     over the positive denominator ``den``, in lowest terms."""

@@ -113,6 +113,47 @@ def test_tate_twist_decides_strong_divisibility_once_per_module(monkeypatch):
     assert calls == [(-1, 0), (-2, -1)]
 
 
+def test_standard_module_for_builds_one_module(monkeypatch):
+    # the type's window (-1, 2) is wider than its levels' span (-1, 0)
+    from motive_height.motive import standard_module_for
+
+    built, init = [], FilPhiModule.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(FilPhiModule, "__init__", counting)
+    module = standard_module_for(MotiveType.of(-2, {-1: 1}, (-1, 2)), 5)
+    assert len(built) == 1 and module.window == (-1, 2) and module.levels == (-1,)
+
+
+def test_built_objects_refuse_rebinding():
+    # each of these sits beside a kept result: a rebound phi beside phi_D
+    # and the strong-divisibility verdict, a rebound period beside the
+    # Hodge structure, a rebound basis beside its parts and determinants
+    from motive_height.fl import check_strong_divisibility
+
+    module = tate_motive(1, fl_primes=(3,)).local[3]
+    assert check_strong_divisibility(module).ok
+    with pytest.raises(AttributeError, match="phi is read-only"):
+        module.phi = QMatrix([[Fraction(1, 9)]])
+    assert module.phi == QMatrix([[Fraction(1, 3)]])
+    m = tate_motive(1)
+    before = height(m).h
+    with pytest.raises(AttributeError, match="period is read-only"):
+        m.period = tuple(tuple(x * 2 for x in row) for row in m.period)
+    h = m.hodge_structure()
+    with pytest.raises(AttributeError, match="basis is read-only"):
+        h.basis = m.period
+    for obj, name in ((m, "local"), (h, "levels"), (module, "lattice")):
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    with pytest.raises(AttributeError):
+        m.note = "new attributes are refused too"
+    assert height(m).h.mid == before.mid
+
+
 def test_validate_window_too_wide_at_construction():
     with pytest.raises(WindowTooWide):
         FilPhiModule(3, Lattice.standard(4), QMatrix.identity(4),
