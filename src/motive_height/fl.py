@@ -70,14 +70,20 @@ class FilPhiModule(WriteOnce):
         if b - a > p - 1:
             raise WindowTooWide(
                 f"window length {b - a} exceeds p - 1 = {p - 1} at p = {p}")
-        self._set(p=p, n=lattice.n, lattice=lattice, phi=phi, window=(a, b))
+        put = object.__setattr__
+        put(self, "p", p)
+        put(self, "n", lattice.n)
+        put(self, "lattice", lattice)
+        put(self, "phi", phi)
+        put(self, "_phi_d", None)
+        put(self, "window", (a, b))
         if phi.rows != self.n or phi.cols != self.n:
             raise ValueError("phi shape mismatch")
-        self._set(phi_det=phi.det())
+        put(self, "phi_det", phi.det())
         if self.phi_det == 0:
             raise ValueError("phi must be invertible")
         if isinstance(filtration, Mapping):
-            self._set(levels=self._read_steps(filtration))
+            put(self, "levels", self._read_steps(filtration))
             return
         levels = tuple(int(l) for l in filtration)
         if len(levels) != self.n:
@@ -86,7 +92,7 @@ class FilPhiModule(WriteOnce):
             raise ValueError("levels must be weakly increasing")
         if any(not a <= l < b for l in levels):
             raise ValueError(f"levels escape the window [{a}, {b})")
-        self._set(levels=levels)
+        put(self, "levels", levels)
 
     def _read_steps(self, filtration: Mapping[int, QMatrix]) -> tuple[int, ...]:
         """The levels of declared steps D^i, after checking each step."""
@@ -146,9 +152,9 @@ class FilPhiModule(WriteOnce):
     def phi_in_basis(self) -> QMatrix:
         """phi_D = B^-1 phi B, phi in D's Hermite basis B; computed on first
         use and kept."""
-        if not hasattr(self, "_phi_d"):
+        if self._phi_d is None:
             basis = self.lattice.basis
-            self._set(_phi_d=basis.solve(self.phi @ basis))
+            object.__setattr__(self, "_phi_d", basis.solve(self.phi @ basis))
         return self._phi_d
 
     def __repr__(self):

@@ -81,9 +81,12 @@ class HodgeStructure(WriteOnce):
     __slots__ = ("n", "weight", "levels", "basis", "_cache")
 
     def __init__(self, weight: int, levels: Sequence[int], basis: BallMatrix):
-        levels = tuple(int(l) for l in levels)
-        self._set(weight=int(weight), levels=levels, basis=ball_matrix(basis),
-                  n=len(levels), _cache={})
+        put = object.__setattr__
+        put(self, "weight", int(weight))
+        put(self, "levels", tuple(int(l) for l in levels))
+        put(self, "basis", ball_matrix(basis))
+        put(self, "n", len(self.levels))
+        put(self, "_cache", {})
         if any(self.levels[i] > self.levels[i + 1] for i in range(self.n - 1)):
             raise ValueError("column levels must be weakly increasing")
         if len(self.basis) != self.n or any(len(r) != self.n for r in self.basis):

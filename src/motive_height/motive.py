@@ -111,9 +111,14 @@ class MotiveData(WriteOnce):
 
     def __init__(self, type: MotiveType, period, local: Mapping[int, LocalDatum] | None = None,
                  bad_primes: Sequence[int] = (), label: str = "M"):
-        local = dict(sorted((int(p), d) for p, d in (local or {}).items()))
-        self._set(type=type, period=ball_matrix(period), local=MappingProxyType(local),
-                  bad_primes=frozenset(int(p) for p in bad_primes), label=label, _cache={})
+        put = object.__setattr__
+        put(self, "type", type)
+        put(self, "period", ball_matrix(period))
+        put(self, "local", MappingProxyType(
+            dict(sorted((int(p), d) for p, d in (local or {}).items()))))
+        put(self, "bad_primes", frozenset(int(p) for p in bad_primes))
+        put(self, "label", label)
+        put(self, "_cache", {})
 
     @property
     def rank(self) -> int:

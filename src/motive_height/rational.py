@@ -54,21 +54,16 @@ def _rational(x):
 
 
 class WriteOnce:
-    """Refuses attribute assignment and deletion, so no kept result can sit
-    beside a rebound input.  Each attribute is set once through ``_set``, by
-    the constructor or by the first use of a kept result."""
+    """Refuses attribute assignment and deletion, so no kept result sits
+    beside a rebound input; as in a frozen dataclass, each attribute is set
+    once, by the constructor or a kept result, through object.__setattr__."""
 
     __slots__ = ()
 
-    def _set(self, **attrs) -> None:
-        for name, value in attrs.items():
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__}.{name} is read-only")
 
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+    __delattr__ = __setattr__
 
 
 class QMatrix:
