@@ -5,8 +5,11 @@
 Each ``demos/<demo>.py`` prints into ``<demo>.txt``, and each CLI example
 (``trivial``, ``tate:1``, ``tate:-2``, ``elliptic:square``) prints
 ``height`` as text and as rows, ``local --p 3`` and ``--p 5`` and
-``invariants`` at 64, 128 and 256 bits into ``cli_<example>.txt``.
-``tests/test_demos.py`` and ``tests/test_cli_goldens.py`` compare the same
+``invariants`` at 64, 128 and 256 bits into ``cli_<example>.txt``, and each
+quotient spec ``spec_<example>_p<p>.json`` here (hand-written inputs, not
+rewritten) gives ``experiment -n 1`` and ``-n 2`` at the same precisions in
+``cli_experiment_<example>_p<p>.txt``.  ``tests/test_demos.py`` and
+``tests/test_cli_goldens.py`` compare the same
 output against these files, so run this only after a deliberate change to
 an output, and review the diff.
 """
@@ -27,6 +30,8 @@ EXAMPLES = ("trivial", "tate:1", "tate:-2", "elliptic:square")
 BITS = (64, 128, 256)
 COMMANDS = (("height",), ("height", "--format", "rows"), ("local", "--p", "3"),
             ("local", "--p", "5"), ("invariants",))
+SPECS = (("elliptic:square", 3), ("elliptic:square", 5), ("tate:1", 2))
+EXPONENTS = (1, 2)
 
 
 STALE = "output differs from {}: after a deliberate change run tests/golden/regenerate.py"
@@ -39,32 +44,64 @@ def demo_output(path: pathlib.Path) -> str:
     return out.getvalue()
 
 
-def cli_output(example: str) -> str:
-    """Every command of ``COMMANDS`` at every precision of ``BITS`` on the
-    example's document, as the command line, its stdout, its stderr lines
-    marked ``stderr:`` and its exit code."""
+def _cli_run(bits: int, argv: list, shown: list) -> list:
+    """One CLI run at ``bits`` bits: the command line with the file names
+    ``shown``, its stdout, its stderr lines marked ``stderr:`` and its exit
+    code."""
     from motive_height.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--precision", str(bits), *argv])
+    return ([" ".join(("$ motive-height --precision", str(bits), *shown))]
+            + out.getvalue().splitlines()
+            + [f"stderr: {line}" for line in err.getvalue().splitlines()]
+            + [f"exit {code}"])
+
+
+def _with_document(example: str, run) -> str:
+    """run(path) on the example's document written to a temporary file."""
     from motive_height.documents import canonical_bytes, example_document
 
-    lines = []
     with tempfile.TemporaryDirectory() as tmp:
         doc = pathlib.Path(tmp) / "doc.json"
         doc.write_bytes(canonical_bytes(example_document(example)))
-        for bits in BITS:
-            for command in COMMANDS:
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = main(["--precision", str(bits), command[0], str(doc), *command[1:]])
-                lines.append(" ".join(("$ motive-height --precision", str(bits), command[0],
-                                       "doc.json", *command[1:])))
-                lines += out.getvalue().splitlines()
-                lines += [f"stderr: {line}" for line in err.getvalue().splitlines()]
-                lines.append(f"exit {code}")
-    return "\n".join(lines) + "\n"
+        return "\n".join(run(str(doc))) + "\n"
+
+
+def cli_output(example: str) -> str:
+    """Every command of ``COMMANDS`` at every precision of ``BITS`` on the
+    example's document."""
+    return _with_document(example, lambda doc: [
+        line for bits in BITS for command in COMMANDS
+        for line in _cli_run(bits, [command[0], doc, *command[1:]],
+                             [command[0], "doc.json", *command[1:]])])
+
+
+def experiment_output(example: str, p: int) -> str:
+    """``experiment`` with the example's spec at p, at every exponent of
+    ``EXPONENTS`` and every precision of ``BITS``."""
+    spec = spec_document(example, p)
+    return _with_document(example, lambda doc: [
+        line for bits in BITS for n in EXPONENTS
+        for line in _cli_run(bits, ["experiment", doc, str(spec), "-n", str(n)],
+                             ["experiment", "doc.json", spec.name, "-n", str(n)])])
+
+
+def _stem(example: str) -> str:
+    return example.replace(":", "_")
 
 
 def cli_golden(example: str) -> pathlib.Path:
-    return GOLDEN / f"cli_{example.replace(':', '_')}.txt"
+    return GOLDEN / f"cli_{_stem(example)}.txt"
+
+
+def spec_document(example: str, p: int) -> pathlib.Path:
+    return GOLDEN / f"spec_{_stem(example)}_p{p}.json"
+
+
+def experiment_golden(example: str, p: int) -> pathlib.Path:
+    return GOLDEN / f"cli_experiment_{_stem(example)}_p{p}.txt"
 
 
 def main() -> None:
@@ -72,6 +109,9 @@ def main() -> None:
         (GOLDEN / f"{path.stem}.txt").write_text(demo_output(path), encoding="utf-8")
     for example in EXAMPLES:
         cli_golden(example).write_text(cli_output(example), encoding="utf-8")
+    for example, p in SPECS:
+        experiment_golden(example, p).write_text(experiment_output(example, p),
+                                                 encoding="utf-8")
 
 
 if __name__ == "__main__":
