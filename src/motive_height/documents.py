@@ -108,14 +108,15 @@ def _ratio(x, where: str) -> tuple[int, int]:
 
 def _matrix(x, where: str, rows: int, cols: int | None = None) -> QMatrix:
     """An exact rows x cols matrix (cols = the first row's length if not
-    given), built as integer rows over the lcm of the entry denominators."""
+    given), read in one flat pass as integers over one lcm denominator."""
     x = _list(x, where, rows)
     if cols is None:
         cols = len(_list(x[0], where)) if x else 0
-    entries = [[_ratio(v, where) for v in _list(row, where, cols)] for row in x]
-    den = lcm(*[d for row in entries for _, d in row])
+    entries = [_ratio(v, where) for row in x for v in _list(row, where, cols)]
+    den = lcm(*[d for _, d in entries])
+    flat = [n * (den // d) for n, d in entries] if den != 1 else [n for n, _ in entries]
     return QMatrix.from_numerators(
-        tuple(tuple([n * (den // d) for n, d in row]) for row in entries), den, cols)
+        tuple([tuple(flat[i * cols:i * cols + cols]) for i in range(rows)]), den, cols)
 
 
 def _decimal(x, where: str, digits: int | None) -> RealBall:

@@ -131,7 +131,7 @@ def full_quotient_spec(m: MotiveData, p: int, exponent: int = 1) -> QuotientSpec
     fil_u = tuple((i, unit.block(cols=slice(n - fl.filtration_rank(i), None)))
                   for i in range(a + 1, b))
     return QuotientSpec(p, n, QMatrix.identity(n), QMatrix.identity(n),
-                        fl.phi_in_basis(), fil_u, exponent)
+                        fl.phi_d, fil_u, exponent)
 
 
 def _rank_and_index(m: QMatrix, p: int) -> tuple[int, int]:
@@ -171,7 +171,7 @@ def validate_spec(m: MotiveData, spec: QuotientSpec) -> None:
     if any(d % p == 0 for d in smith_normal_form(spec.q_dr)):
         raise IncompatibleSpec("q_dr is not surjective at p")
     # Frobenius compatibility in D-coordinates, exactly
-    if spec.phi_u @ spec.q_dr != spec.q_dr @ fl.phi_in_basis():
+    if spec.phi_u @ spec.q_dr != spec.q_dr @ fl.phi_d:
         raise IncompatibleSpec("phi_U does not intertwine q_dr with phi")
     # filtration: q maps D^i onto U^i at p, and U^i is saturated
     for i in range(a + 1, b):

@@ -10,9 +10,12 @@ coordinates of level >= i is spanned by the last rank D^i columns of that
 basis: the levels are the whole filtration, and every p-local index below
 is read off the one basis.
 
-The lattice identity D = sum_i p^{-i} phi D^i (strong divisibility) is
-checked, never assumed, by ``local_valuations``: in D's Hermite basis it is
-a valuation test on the entries of phi and on det phi.  The local integral
+The constructor keeps phi_D = B^-1 phi B (B that basis, one product and
+one forward substitution, ``QMatrix.solve_lower``) and det phi, and checks
+each declared step D^i from B^-1 D^i.  The lattice identity
+D = sum_i p^{-i} phi D^i (strong divisibility) is checked, never assumed,
+by ``local_valuations``: a valuation test on the kept phi_D and det phi
+that builds no further matrix.  The local integral
 structure it induces on the determinant line of each quotient
 D_dR / D^r_dR is reported as a single p-adic valuation per r, measured
 against the reference basis of the quotient; the two cohomology-style
@@ -23,9 +26,11 @@ independently.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from itertools import accumulate
 
 from .lines import Lattice
 from .rational import (
@@ -51,13 +56,15 @@ class FilPhiModule(WriteOnce):
     each coordinate as a sequence.  Declared steps must be adapted, of
     non-increasing rank and equal to D ∩ span(D^i) at p; they are then
     reduced to levels.  Levels get shape checks only.  Construction also
-    checks that p is prime, the window has length at most p - 1 and phi is
-    invertible.  Strong divisibility is not checked here: ``local_valuations``
-    decides it, once per prime of a motive, and ``motive.validate`` reaches
-    it through ``MotiveData.local_spec``.
+    checks that p is prime and the window has length at most p - 1, and
+    keeps phi in D's Hermite basis B, ``phi_d`` = B^-1 phi B, and
+    ``phi_det`` = det phi = det phi_D, which must not vanish.  Strong
+    divisibility is not checked here: ``local_valuations`` decides it, once
+    per prime of a motive, and ``motive.validate`` reaches it through
+    ``MotiveData.local_spec``.
     """
 
-    __slots__ = ("p", "n", "lattice", "phi", "phi_det", "window", "levels", "_phi_d")
+    __slots__ = ("p", "n", "lattice", "phi", "phi_d", "phi_det", "window", "levels")
 
     def __init__(self, p: int, lattice: Lattice, phi: QMatrix,
                  filtration: Mapping[int, QMatrix] | Sequence[int],
@@ -75,11 +82,12 @@ class FilPhiModule(WriteOnce):
         put(self, "n", lattice.n)
         put(self, "lattice", lattice)
         put(self, "phi", phi)
-        put(self, "_phi_d", None)
         put(self, "window", (a, b))
         if phi.rows != self.n or phi.cols != self.n:
             raise ValueError("phi shape mismatch")
-        put(self, "phi_det", phi.det())
+        basis = lattice.basis
+        put(self, "phi_d", basis.solve_lower(phi @ basis))
+        put(self, "phi_det", self.phi_d.det())
         if self.phi_det == 0:
             raise ValueError("phi must be invertible")
         if isinstance(filtration, Mapping):
@@ -124,13 +132,11 @@ class FilPhiModule(WriteOnce):
                 raise ValueError(
                     f"D^{i} is not adapted: spans more than the last {k} "
                     f"reference coordinates")
-            # D ∩ span(D^i) at p is spanned by the last k Hermite columns of
-            # D: their bottom block T must carry the bottom rows of D^i by a
-            # p-integral X with det X a p-unit (the steps then nest)
-            bottom = slice(n - k, None)
-            x = basis.block(bottom, bottom).solve(m.block(bottom))
-            d = x.det()
-            if not (x.is_p_integral(p) and d and vp(d, p) == 0):
+            # D ∩ span(D^i) at p is spanned by the last k Hermite columns of D:
+            # the top n - k rows of B^-1 D^i vanish with those of D^i, and its
+            # bottom k x k block must lie in GL_k(Z_(p)) (the steps then nest)
+            x = basis.solve_lower(m)
+            if not (x.is_p_integral(p) and x.block(slice(n - k, None)).det().numerator % p):
                 raise ValueError(
                     f"D^{i} is not D ∩ span of the last {k} reference "
                     f"coordinates at p = {p}")
@@ -148,14 +154,6 @@ class FilPhiModule(WriteOnce):
         last rank D^i columns of D's Hermite basis (a declared step equals
         it at p)."""
         return self.lattice.basis.block(cols=slice(self.n - self.filtration_rank(i), None))
-
-    def phi_in_basis(self) -> QMatrix:
-        """phi_D = B^-1 phi B, phi in D's Hermite basis B; computed on first
-        use and kept."""
-        if self._phi_d is None:
-            basis = self.lattice.basis
-            object.__setattr__(self, "_phi_d", basis.solve(self.phi @ basis))
-        return self._phi_d
 
     def __repr__(self):
         return (f"FilPhiModule(p={self.p}, n={self.n}, "
@@ -202,8 +200,7 @@ def check_strong_divisibility(m: FilPhiModule) -> StrongDivisibilityReport:
     iff that matrix lies in GL_n(Z_(p)): every nonzero entry of column j of
     phi_D has valuation >= l_j, and v_p(det phi) = sum_j l_j.
     """
-    p, levels = m.p, m.levels
-    phi_d = m.phi_in_basis()
+    p, levels, phi_d = m.p, m.levels, m.phi_d
     # with phi_D = num / den: p^(l_j + v_p(den)) divides column j of num
     v_den = vp_int(phi_d.den, p)
     moduli = [p ** max(level + v_den, 0) for level in levels]
@@ -247,7 +244,7 @@ def h1cf(m: FilPhiModule) -> tuple[int, tuple[int, ...]]:
         return m.n, ()
     one_minus_phi = QMatrix.identity(m.n) - m.phi
     image = one_minus_phi @ b0
-    coords = m.lattice.basis.solve(image)
+    coords = m.lattice.basis.solve_lower(image)
     if not coords.is_p_integral(p):
         raise ValueError("(1 - phi) D^0 escapes D at p: inconsistent module")
     # the denominator is a p-unit, so the numerators have the same p-torsion
@@ -302,18 +299,19 @@ def local_valuations(m: FilPhiModule) -> LocalLatticeSpec:
     This is where a module's strong divisibility is decided: without it
     there is no integral structure, and ValueError says so with the lattice
     sum as witness.  Since D^r = D ∩ span(D^r) at p, D / D^r is D projected
-    onto the first n - rank D^r coordinates: the leading block of D's
-    lower-triangular Hermite basis.
+    onto the coordinates of level < r: the leading block of D's
+    lower-triangular Hermite basis, so v(r) sums the diagonal valuations of
+    those coordinates.
     """
     report = check_strong_divisibility(m)
     if not report.ok:
         raise ValueError(f"strong divisibility fails "
                          f"(lattice sum has basis {report.witness.basis.data})")
     a, b = m.window
-    diag = diagonal_valuations(m.lattice.basis, m.p)
-    values = {r: sum(diag[:m.n - m.filtration_rank(r)]) for r in range(a, b + 1)}
-    return LocalLatticeSpec(m.p, (a, b), tuple(sorted(values.items())),
-                            "computed-from-FL")
+    # the levels are sorted: v(r) is a prefix sum of the diagonal valuations
+    prefix = list(accumulate(diagonal_valuations(m.lattice.basis, m.p), initial=0))
+    return LocalLatticeSpec(m.p, (a, b), tuple(
+        (r, prefix[bisect_left(m.levels, r)]) for r in range(a, b + 1)), "computed-from-FL")
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ def quotient_lattice_valuation(outer: Lattice, inner: Lattice, p: int) -> int:
         raise ValueError(f"{p} is not prime")
     if outer.n != inner.n:
         raise ValueError("ambient dimension mismatch")
-    if not outer.basis.solve(inner.basis).is_p_integral(p):
+    if not outer.basis.solve_lower(inner.basis).is_p_integral(p):
         raise NotSublattice(f"inner lattice escapes the outer one at p={p}")
     return sum(diagonal_valuations(inner.basis, p)) - sum(diagonal_valuations(outer.basis, p))
 

@@ -186,6 +186,7 @@ def validate(m: MotiveData) -> ValidationReport:
             issues.append("induced Hodge structure is not pure: "
                           + "; ".join(rep.messages))
 
+    levels = tuple(m.type.levels())
     for p, datum in m.local.items():
         where = f"local datum at p={p}"
         if not is_prime(p):
@@ -207,11 +208,12 @@ def validate(m: MotiveData) -> ValidationReport:
             issues.append(f"{where}: window {datum.window} differs from "
                           f"the motive's ({a}, {b})")
             continue
-        for r in range(a, b):
-            want = m.type.filtration_dim(r)
-            got = datum.filtration_rank(r)
-            if got != want:
-                issues.append(f"{where}: rank D^{r} = {got}, expected {want}")
+        if datum.levels != levels:
+            for r in range(a, b):
+                want = m.type.filtration_dim(r)
+                got = datum.filtration_rank(r)
+                if got != want:
+                    issues.append(f"{where}: rank D^{r} = {got}, expected {want}")
         try:
             m.local_spec(p)  # decides strong divisibility
         except ValueError as exc:

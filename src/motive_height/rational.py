@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -32,9 +32,15 @@ _MAX_EXPONENT = 4300
 
 def parse_rational(s: str) -> tuple[int, int]:
     """(n, d) with d > 0 and n / d the value Fraction(s) reads, by the same
-    grammar but with no gcd: a decimal "1.25e-3" gives d = 10^5."""
-    if s.isascii() and s.isdigit():
-        return int(s), 1
+    grammar but with no gcd: a decimal "1.25e-3" gives d = 10^5.  A plain
+    ASCII "[+-]digits[/digits]" is read without the regex."""
+    if s.isascii():
+        if s.isdigit():
+            return int(s), 1
+        num, slash, den = s.partition("/")
+        if (num[1:] if num[:1] in "+-" else num).isdigit() and (
+                not slash or den.isdigit() and den.strip("0")):
+            return int(num), int(den) if slash else 1
     m = _RATIONAL_FORMAT.match(s)
     if m is None or m["denom"] is not None and not int(m["denom"]):
         raise ValueError(f"invalid rational literal {s!r}")
@@ -211,13 +217,13 @@ class QMatrix:
         step's 2x2 cross products exactly."""
         assert self.rows == self.cols, "determinant of a non-square matrix"
         n = self.rows
-        a = [list(r) for r in self.num]
+        a = list(self.num)  # each update replaces a row
         sign, prev = 1, 1
         for k in range(n - 1):
-            piv = next((i for i in range(k, n) if a[i][k]), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != k:
+            if not a[k][k]:
+                piv = next((i for i in range(k + 1, n) if a[i][k]), None)
+                if piv is None:
+                    return Fraction(0)
                 a[k], a[piv] = a[piv], a[k]
                 sign = -sign
             rk = a[k]
@@ -227,6 +233,31 @@ class QMatrix:
                 a[i] = [(pk * x - f * y) // prev for x, y in zip(a[i], rk)]
             prev = pk
         return Fraction(sign * a[n - 1][n - 1], self.den ** n) if n else Fraction(1)
+
+    def solve_lower(self, rhs: "QMatrix") -> "QMatrix":
+        """Solve self @ X = rhs for lower-triangular self with a nonzero
+        diagonal (a Hermite basis) by fraction-free forward substitution:
+        row i of num^-1 rhs.num times the diagonal numerators l_0 ... l_i is
+        an integer row z_i (Cramer's rule), which row i of rhs.num becomes
+        once each row j < i has mapped it to l_j z - num[i][j] z_j."""
+        assert self.rows == self.cols == rhs.rows
+        diag = [row[i] for i, row in enumerate(self.num)]
+        if 0 in diag:
+            raise ZeroDivisionError("singular matrix")
+        z = []
+        for row, acc in zip(self.num, rhs.num):
+            for zj, f, l in zip(z, row, diag):
+                if f or l != 1:
+                    acc = [l * x - f * y for x, y in zip(acc, zj)]
+            z.append(acc)
+        # X = den num^-1 rhs.num / rhs.den: over |l_0 ... l_(n-1)| rhs.den, row i
+        # is ±den z_i times the l_j below it, in lowest terms if self is unimodular
+        tail = self.den if prod(diag) > 0 else -self.den
+        for i in range(self.rows - 1, -1, -1):
+            z[i] = tuple(z[i]) if tail == 1 else tuple([tail * x for x in z[i]])
+            tail *= diag[i]
+        make = QMatrix._make if tail == 1 else QMatrix.from_numerators
+        return make(tuple(z), tail // self.den * rhs.den, rhs.cols)
 
     def inverse(self) -> "QMatrix":
         return self.solve(QMatrix.identity(self.rows))
@@ -405,8 +436,6 @@ def hnf_columns(m: QMatrix) -> QMatrix:
     """
     if not m.is_integer():
         raise ValueError("hnf_columns requires integer entries")
-    if _is_square_hermite(m):
-        return m
     a = [list(row) for row in m.num]
     rows = m.rows
     cols = m.cols
@@ -465,7 +494,7 @@ def _is_square_hermite(m: QMatrix) -> bool:
 
 def hnf_rational(m: QMatrix) -> QMatrix:
     """Canonical column form of the lattice generated by rational columns."""
-    if m.cols == 0:
+    if m.cols == 0 or _is_square_hermite(m):
         return m
     # column operations keep the gcd of the entries, so h / den stays in
     # lowest terms

@@ -117,36 +117,50 @@ def test_sublattice_n0_is_identity():
 
 
 def test_one_phi_in_basis_per_module(monkeypatch):
-    # strong divisibility, full_quotient_spec and validate_spec (run again by
-    # sublattice_motive) read the module's one kept phi_D = B^-1 phi B: phi
-    # enters one product and one solve per module
+    # a module forms phi_D = B^-1 phi B once, at construction: one product
+    # with phi and one forward substitution of it.  Strong divisibility
+    # (validate), full_quotient_spec and validate_spec (run again by
+    # sublattice_motive) read the kept phi_D; the kernel module forms its own
     from motive_height.documents import example_document, parse_motive
-    m = parse_motive(example_document("elliptic:square"))
-    fl = m.local[3]
     products, solves = [], []
-    matmul, solve = QMatrix.__matmul__, QMatrix.solve
+    matmul, solve_lower = QMatrix.__matmul__, QMatrix.solve_lower
 
     def counting_matmul(a, b):
         out = matmul(a, b)
-        if a is fl.phi or b is fl.phi:
-            products.append(out)
+        products.append((a, out))
         return out
 
-    def counting_solve(a, rhs):
-        solves.append(any(rhs is x for x in products))
-        return solve(a, rhs)
+    def counting_solve_lower(a, rhs):
+        out = solve_lower(a, rhs)
+        solves.append((rhs, out))
+        return out
+
+    def phi_work(fl):
+        """(products with fl.phi, solve_lower calls on one, their outputs)"""
+        made = [out for a, out in products if a is fl.phi]
+        solved = [out for rhs, out in solves if any(rhs is x for x in made)]
+        return len(made), len(solved), solved
 
     monkeypatch.setattr(QMatrix, "__matmul__", counting_matmul)
-    monkeypatch.setattr(QMatrix, "solve", counting_solve)
+    monkeypatch.setattr(QMatrix, "solve_lower", counting_solve_lower)
+    m = parse_motive(example_document("elliptic:square"))
+    for p in (3, 5):
+        fl = m.local[p]
+        made, solved, out = phi_work(fl)
+        assert (made, solved) == (1, 1) and out[0] is fl.phi_d
+    products.clear(), solves.clear()
     assert validate(m).ok
     spec = full_quotient_spec(m, 3)
     validate_spec(m, spec)
-    assert len(products) == 1 and solves.count(True) == 1
-    assert spec.phi_u is fl.phi_in_basis()
+    assert spec.phi_u is m.local[3].phi_d
+    assert phi_work(m.local[3])[:2] == (0, 0) and solves == []
     sub = sublattice_motive(m, spec)
     # the kernel module keeps phi over a new basis: its own phi_D, once
-    assert sub.local[3].phi is fl.phi
-    assert len(products) == 2 and solves.count(True) == 2
+    fl = sub.local[3]
+    assert fl.phi is m.local[3].phi
+    made, solved, out = phi_work(fl)
+    assert (made, solved) == (1, 1) and out[0] is fl.phi_d
+    assert len(solves) == 1
 
 
 def test_sublattice_tate_full_quotient():

@@ -82,14 +82,14 @@ def test_strong_divisibility_builds_no_hermite_form_and_no_det(monkeypatch, rng)
     assert calls == ["hnf"]
 
 
-def random_sd_candidate(rng) -> FilPhiModule | None:
+def random_sd_candidate(rng, ranks=(0, 1, 2, 2, 3, 3, 3, 4)) -> FilPhiModule | None:
     """A module for strong divisibility to judge: a strongly divisible one
-    (identity or random adapted Hermite basis, window length 1-3, rank 0-4),
-    then phi perturbed with denominators p or p^2 (in reference or in D
-    coordinates) or scaled by p^{+-1}, and D rescaled by a p-power or a
-    p-unit.  None when the perturbed phi is singular."""
+    (identity or random adapted Hermite basis, window length 1-3, rank one
+    of ``ranks``), then phi perturbed with denominators p or p^2 (in
+    reference or in D coordinates) or scaled by p^{+-1}, and D rescaled by a
+    p-power or a p-unit.  None when the perturbed phi is singular."""
     p = rng.choice([3, 5, 7])
-    n = rng.choice([0, 1, 2, 2, 3, 3, 3, 4])
+    n = rng.choice(ranks)
     width = rng.randint(1, min(3, p - 1))
     lo = rng.randint(-2, 1)
     levels = sorted(rng.randint(lo, lo + width - 1) for _ in range(n))
@@ -129,6 +129,30 @@ def test_strong_divisibility_matches_both_oracles_on_3000_modules():
         length1 += m.window[1] - m.window[0] == 1
     assert verdicts.count(True) >= 1000 and verdicts.count(False) >= 1000
     assert rank0 >= 100 and length1 >= 500
+
+
+def test_constructor_keeps_phi_in_a_non_identity_hermite_basis():
+    # phi_D is set at construction as B^-1 phi B, det phi is det phi_D, and
+    # the verdict read off them matches the oracle; B != I here, while every
+    # document-built curve module has B = I
+    rng = random.Random(20261022)
+    verdicts, ranks = [], set()
+    while len(verdicts) < 400:
+        m = random_sd_candidate(rng, ranks=range(1, 7))
+        if m is None or m.lattice.basis == QMatrix.identity(m.n):
+            continue
+        basis = m.lattice.basis
+        assert m.phi_d == basis.solve(m.phi @ basis)
+        assert m.phi_det == m.phi.det() == m.phi_d.det()
+        ok = check_strong_divisibility(m).ok
+        assert ok == oracle_strong_divisibility(m)
+        if ok:
+            assert local_valuations(m).v == tuple(
+                (r, projection_valuation(m, r)) for r in range(m.window[0], m.window[1] + 1))
+        verdicts.append(ok)
+        ranks.add(m.n)
+    assert ranks == set(range(1, 7))
+    assert verdicts.count(True) >= 100 and verdicts.count(False) >= 100
 
 
 def test_window_too_wide():

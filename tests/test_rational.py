@@ -12,6 +12,7 @@ from motive_height.rational import (
     hnf_rational,
     integer_kernel,
     is_prime,
+    parse_rational,
     smith_normal_form,
     vp,
 )
@@ -247,6 +248,52 @@ def test_det_solve_inverse_match_the_fraction_oracle(rng):
         assert inv.data == tuple(map(tuple, rational_oracle.solve(
             a, [[Fraction(int(i == j)) for j in range(n)] for i in range(n)])))
     assert singular > 100
+
+
+def test_solve_lower_matches_the_fraction_oracle(rng):
+    # forward substitution against Gauss-Jordan over Fractions: diagonals of
+    # either sign, units and non-units, integer and rational, empty shapes
+    signs, units, empty = set(), 0, 0
+    for trial in range(700):
+        n, k = rng.randint(0, 6), rng.randint(0, 3)
+        a = random_rows(rng, n, n)
+        for i, row in enumerate(a):
+            row[i + 1:] = [Fraction(0)] * (n - i - 1)
+            while not row[i]:
+                row[i] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
+                                  rng.choice([1, 1, 2, 3, 12]))
+            if trial % 4 == 0:  # a unimodular integer triangle
+                row[:i + 1] = [Fraction(round(x)) for x in row[:i]] + [
+                    Fraction(rng.choice([-1, 1]))]
+            signs.add(row[i] > 0)
+        units += trial % 4 == 0 and n > 0
+        b = random_rows(rng, n, k)
+        x = qm(a, n).solve_lower(qm(b, k))
+        assert (x.rows, x.cols) == (n, k)
+        assert x.data == tuple(map(tuple, rational_oracle.solve(a, b)))
+        assert_lowest_terms(x)
+        empty += n * k == 0
+    assert signs == {True, False} and units > 100 and empty > 100
+
+
+def test_solve_lower_rejects_a_zero_diagonal():
+    with pytest.raises(ZeroDivisionError):
+        QMatrix([[1, 0], [3, 0]]).solve_lower(QMatrix.identity(2))
+
+
+@pytest.mark.parametrize("text", [
+    "-3/7", "+3/7", "3/07", "-0/5", "1_0/3", " 3/7", "٣/7", "1/0", "-/3", "3/-7",
+    "3/+7", "/7", "3/", "12", "-12", "+0", "0/00", "+", "-", "", "/", "3//7", "+-3"])
+def test_parse_rational_reads_what_fraction_reads(text):
+    # the plain-ASCII fast path and the grammar agree with Fraction's reader
+    try:
+        want = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ValueError):
+            parse_rational(text)
+        return
+    n, d = parse_rational(text)
+    assert d > 0 and Fraction(n, d) == want
 
 
 def test_products_sums_and_shapes_match_fraction_arithmetic(rng):
