@@ -114,7 +114,7 @@ def _matrix(x, where: str, rows: int, cols: int | None = None) -> QMatrix:
         cols = len(_list(x[0], where)) if x else 0
     entries = [_ratio(v, where) for row in x for v in _list(row, where, cols)]
     den = lcm(*[d for _, d in entries])
-    flat = [n * (den // d) for n, d in entries] if den != 1 else [n for n, _ in entries]
+    flat = [n * (den // d) for n, d in entries]
     return QMatrix.from_numerators(
         tuple([tuple(flat[i * cols:i * cols + cols]) for i in range(rows)]), den, cols)
 
