@@ -148,7 +148,8 @@ def test_one_phi_in_basis_per_module(monkeypatch):
         fl = m.local[p]
         made, solved, out = phi_work(fl)
         assert (made, solved) == (1, 1) and out[0] is fl.phi_d
-    products.clear(), solves.clear()
+    products.clear()
+    solves.clear()
     assert validate(m).ok
     spec = full_quotient_spec(m, 3)
     validate_spec(m, spec)

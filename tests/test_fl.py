@@ -133,8 +133,8 @@ def test_strong_divisibility_matches_both_oracles_on_3000_modules():
 
 def test_constructor_keeps_phi_in_a_non_identity_hermite_basis():
     # phi_D is set at construction as B^-1 phi B, det phi is det phi_D, and
-    # the verdict read off them matches the oracle; B != I here, while every
-    # document-built curve module has B = I
+    # the verdict read off them matches the oracle; B != I here, while the
+    # modules of the example documents all have B = I
     rng = random.Random(20261022)
     verdicts, ranks = [], set()
     while len(verdicts) < 400:
