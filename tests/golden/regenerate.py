@@ -8,18 +8,23 @@ Each ``demos/<demo>.py`` prints into ``<demo>.txt``, and each CLI example
 ``invariants`` at 64, 128 and 256 bits into ``cli_<example>.txt``, and each
 quotient spec ``spec_<example>_p<p>.json`` here (hand-written inputs, not
 rewritten) gives ``experiment -n 1`` and ``-n 2`` at the same precisions in
-``cli_experiment_<example>_p<p>.txt``.  ``tests/test_demos.py`` and
-``tests/test_cli_goldens.py`` compare the same
-output against these files, so run this only after a deliberate change to
-an output, and review the diff.
+``cli_experiment_<example>_p<p>.txt``.  The eight ``ACCEPTANCE`` lines of
+``tests/test_acceptance.py``, each without its ``(elapsed, budget)`` note, go
+into ``acceptance.txt``.  ``tests/test_demos.py``,
+``tests/test_cli_goldens.py`` and ``tests/test_acceptance_golden.py`` compare
+the same output against these files, so run this only after a deliberate
+change to an output, and review the diff.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import os
 import pathlib
+import re
 import runpy
+import subprocess
 import sys
 import tempfile
 
@@ -32,6 +37,8 @@ COMMANDS = (("height",), ("height", "--format", "rows"), ("local", "--p", "3"),
             ("local", "--p", "5"), ("invariants",))
 SPECS = (("elliptic:square", 3), ("elliptic:square", 5), ("tate:1", 2))
 EXPONENTS = (1, 2)
+ACCEPTANCE = GOLDEN / "acceptance.txt"
+_ELAPSED = re.compile(r" \(\d+\.\d\ds, budget [\d.]+s\)")
 
 
 STALE = "output differs from {}: after a deliberate change run tests/golden/regenerate.py"
@@ -104,6 +111,18 @@ def experiment_golden(example: str, p: int) -> pathlib.Path:
     return GOLDEN / f"cli_experiment_{_stem(example)}_p{p}.txt"
 
 
+def acceptance_output() -> str:
+    """The ``ACCEPTANCE`` lines that ``tests/test_acceptance.py`` prints in a
+    fresh interpreter, each without its ``(elapsed, budget)`` note."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
+                          str(ROOT / "tests" / "test_acceptance.py")],
+                         cwd=ROOT, env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True)
+    return "".join(_ELAPSED.sub("", line).rstrip() + "\n"
+                   for line in run.stdout.splitlines() if line.startswith("ACCEPTANCE "))
+
+
 def main() -> None:
     for path in DEMOS:
         (GOLDEN / f"{path.stem}.txt").write_text(demo_output(path), encoding="utf-8")
@@ -112,6 +131,7 @@ def main() -> None:
     for example, p in SPECS:
         experiment_golden(example, p).write_text(experiment_output(example, p),
                                                  encoding="utf-8")
+    ACCEPTANCE.write_text(acceptance_output(), encoding="utf-8")
 
 
 if __name__ == "__main__":
