@@ -40,10 +40,10 @@ from math import isqrt, lcm
 from typing import Iterable
 
 from mpmath import mp, mpf, nstr
-from mpmath.libmp import (from_int, from_man_exp, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_div,
+from mpmath.libmp import (MPZ, from_int, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_div,
                           mpf_exp, mpf_log, mpf_mul, mpf_neg, mpf_pi, mpf_shift,
-                          mpf_sign, mpf_sqrt, mpf_sub, round_ceiling, round_down,
-                          round_floor, round_nearest, round_up)
+                          mpf_sign, mpf_sqrt, mpf_sub, normalize, round_ceiling,
+                          round_down, round_floor, round_nearest, round_up)
 
 from .rational import parse_rational
 
@@ -131,17 +131,25 @@ def _parts(x) -> tuple[int, int, int]:
                     f"{type(x).__name__}; parse decimal strings with RealBall.from_decimal")
 
 
+def _quotient(n: int, e: int, d: int, prec: int, rnd) -> tuple:
+    """n 2^e / d (d > 0) rounded once at prec bits: an integer quotient of at
+    least prec + 1 bits and a sticky bit for its remainder round as it does."""
+    s = max(0, prec + 1 + d.bit_length() - n.bit_length())
+    q, rem = divmod(MPZ(abs(n)) << s, d)
+    return normalize(int(n < 0), q << 1 | (rem != 0), e - s - 1, q.bit_length() + 1, prec, rnd)
+
+
 def _rounded(n: int, e: int, d: int, r: int, er: int) -> "RealBall":
     """The ball (n 2^e ± r 2^er) / d by the one rounding rule: the midpoint
     rounded to nearest, and the radius plus the exact move |n 2^e - d mid| / d,
     rounded up."""
     prec = _prec()
-    sign, man, exp, _ = mid = mpf_div(from_man_exp(n, e), from_int(d), prec, round_nearest)
+    sign, man, exp, _ = mid = _quotient(n, e, d, prec, round_nearest)
     c = min(e, er, exp)
     r = (r << (er - c)) + abs((n << (e - c)) - d * ((-man if sign else man) << (exp - c)))
     ball = RealBall.__new__(RealBall)
     ball.mid = mp.make_mpf(mid)
-    ball.rad = mp.make_mpf(mpf_div(from_man_exp(r, c), from_int(d), prec, round_up))
+    ball.rad = mp.make_mpf(_quotient(r, c, d, prec, round_up))
     return ball
 
 

@@ -9,9 +9,9 @@ verifies the resulting exact identities: the integral line rescales by
 exactly p^{n s(U)}, the Betti lattice index accounts for the metric change,
 and the height is unchanged.  This triple of assertions is the strongest
 internal audit that the local integral structure really is the determinant
-of the lattice quotients.  Kernels and preimages of lattices come from
-one Hermite form (``rational.integer_kernel``); ranks, saturation and
-equality at p come from one set of Smith divisors.  Finally, the conductor-style quantity
+of the lattice quotients.  One Hermite transform per quotient map decides
+its surjectivity and gives its kernels over Z and mod p^n, and Smith
+divisors decide the filtration steps.  Finally, the conductor-style quantity
 n(M) = sum log p over bad primes is tabulated next to heights; no
 inequality between them is asserted.
 """
@@ -26,7 +26,7 @@ from .balls import RealBall, rational_ball_mul
 from .fl import FilPhiModule
 from .lines import Lattice
 from .motive import HeightReport, MotiveData, MotiveType, height, validate
-from .rational import QMatrix, integer_kernel, smith_normal_form, vp_int
+from .rational import QMatrix, hermite_transform, smith_normal_form, vp_int
 
 
 class IncompatibleSpec(ValueError):
@@ -147,8 +147,11 @@ def _rank_and_index(m: QMatrix, p: int) -> tuple[int, int]:
 def validate_spec(m: MotiveData, spec: QuotientSpec) -> None:
     """Raise IncompatibleSpec unless all declared compatibilities hold.
 
-    The lattice conditions are decided exactly.  The period condition is
-    decided on balls and fails only when the data certify that it fails."""
+    The lattice conditions are decided exactly; m keeps the V's of an
+    accepted spec's Hermite transforms.  The period condition is decided on
+    balls and fails only when the data certify that it fails."""
+    if ("quotient", spec) in m._cache:
+        return
     rep = validate(m)
     if not rep.ok:
         raise IncompatibleSpec("motive itself is invalid: " + "; ".join(rep.issues))
@@ -165,10 +168,12 @@ def validate_spec(m: MotiveData, spec: QuotientSpec) -> None:
         raise IncompatibleSpec("quotient maps must be integer matrices")
     if k == 0:
         return
-    if list(smith_normal_form(spec.q_betti)[:k]) != [1] * k:
+    # onto Z^k, or at p, iff k <= n and H's leading diagonal is 1, or prime to p
+    h_b, v_b = hermite_transform(spec.q_betti)
+    if k > n or any(h_b.num[i][i] != 1 for i in range(k)):
         raise IncompatibleSpec("q_betti is not surjective")
-    # k <= n now, so q_dr has k Smith divisors; onto at p iff all are units
-    if any(d % p == 0 for d in smith_normal_form(spec.q_dr)):
+    h_dr, v_dr = hermite_transform(spec.q_dr)
+    if any(h_dr.num[i][i] % p == 0 for i in range(k)):
         raise IncompatibleSpec("q_dr is not surjective at p")
     # Frobenius compatibility in D-coordinates, exactly
     if spec.phi_u @ spec.q_dr != spec.q_dr @ fl.phi_d:
@@ -191,27 +196,26 @@ def validate_spec(m: MotiveData, spec: QuotientSpec) -> None:
         image = spec.q_dr.block(cols=slice(n - fl.filtration_rank(i), None))
         if not _rank_and_index(image, p) == u_read == _rank_and_index(image.hstack(u_i), p):
             raise IncompatibleSpec(f"q(D^{i}) differs from U^{i} at p")
-    if k == n:
-        return
     # Betti/de Rham kernels through the period matrix: P ker(q_dr) and
     # ker(q_betti) both have rank n - k and det P != 0 (validate), so they
     # agree iff Z = q_betti P K_d vanishes
-    k_d = fl.lattice.basis @ integer_kernel(spec.q_dr)      # dR coordinates
-    z = rational_ball_mul(spec.q_betti.data, rational_ball_mul(m.period, k_d.data))
-    if not all(x.contains_zero() for row in z for x in row):
-        raise IncompatibleSpec(
-            "Betti and de Rham kernels disagree through the period matrix")
+    if k < n:
+        k_d = fl.lattice.basis @ v_dr.block(cols=slice(k, None))  # dR coordinates
+        z = rational_ball_mul(spec.q_betti.data, rational_ball_mul(m.period, k_d.data))
+        if not all(x.contains_zero() for row in z for x in row):
+            raise IncompatibleSpec(
+                "Betti and de Rham kernels disagree through the period matrix")
+    m._cache["quotient", spec] = v_dr, v_b
 
 
 # ---------------------------------------------------------------------------
 # the sublattice construction
 # ---------------------------------------------------------------------------
 
-def kernel_mod(a: QMatrix, modulus: int) -> QMatrix:
-    """Basis of { c in Z^cols : a c = 0 mod modulus } (a integer): the top
-    block of the integer kernel of [a | -modulus I]."""
-    return integer_kernel(a.hstack(QMatrix.identity(a.rows).scale(-modulus))) \
-        .block(slice(a.cols))
+def _kernel_mod(v: QMatrix, k: int, q: int) -> QMatrix:
+    """ker(a mod q) = V diag(q I_k, I) for a k x n map a with Hermite transform
+    (H, V), det H prime to q: a V y = H y_1 vanishes mod q iff q | y_1."""
+    return v.block(cols=slice(k)).scale(q).hstack(v.block(cols=slice(k, None)))
 
 
 def sublattice_motive(m: MotiveData, spec: QuotientSpec,
@@ -230,15 +234,13 @@ def sublattice_motive(m: MotiveData, spec: QuotientSpec,
     if n_exp == 0 or spec.k == 0:
         return m
     p = spec.p
-    q = p ** n_exp
     fl = m.local[p]
-
-    kd = kernel_mod(spec.q_dr, q)                     # D-coordinates
+    # D- and Betti coordinates, from the transforms validate_spec kept
+    kd, kb = (_kernel_mod(v, spec.k, p ** n_exp) for v in m._cache["quotient", spec])
     new_lattice = Lattice(fl.lattice.basis @ kd)      # ambient
     new_fl = FilPhiModule(p, new_lattice, fl.phi, fl.levels, fl.window)
 
-    kb_inv = kernel_mod(spec.q_betti, q).inverse()
-    period = rational_ball_mul(kb_inv.data, m.period)
+    period = rational_ball_mul(kb.inverse().data, m.period)
     local = dict(m.local)
     local[p] = new_fl
     sub = MotiveData(m.type, period, local, m.bad_primes,
@@ -297,7 +299,7 @@ def invariance_experiment(m: MotiveData, spec: QuotientSpec,
     if n_exp == 0 or spec.k == 0:
         betti_index = 1
     else:
-        kb = kernel_mod(spec.q_betti, spec.p ** n_exp)
+        kb = _kernel_mod(m._cache["quotient", spec][1], spec.k, spec.p ** n_exp)
         betti_index = abs(int(kb.det()))
     w = m.weight
     betti_ok = Fraction(betti_index) ** w == Fraction(spec.p) ** (2 * n_exp * t_u)

@@ -1,5 +1,5 @@
 """Exact linear algebra over Q: integer matrices over one denominator, Smith
-and Hermite normal forms, integer kernels, and p-adic valuations.
+and Hermite forms, Hermite transforms, integer kernels and p-adic valuations.
 
 A ``QMatrix`` holds its entries as a tuple of integer rows ``num`` over one
 positive denominator ``den``, kept in lowest terms: gcd(den, every entry of
@@ -380,7 +380,7 @@ def smith_normal_form(m: QMatrix) -> tuple[int, ...]:
     deficiency).
 
     Row and column operations on a copy of the entries; no transform is
-    kept, since kernels and preimages come from ``hnf_columns``.
+    kept, since kernels come from ``hermite_transform``.
     """
     if not m.is_integer():
         raise ValueError("smith_normal_form requires integer entries")
@@ -476,12 +476,8 @@ def hnf_columns(m: QMatrix) -> QMatrix:
                     a[i][j] -= q * a[i][pivot_col]
         pivot_col += 1
 
-    kept = [j for j in range(cols) if any(a[i][j] for i in range(rows))]
-    # canonical order: by pivot row
-    def pivot_row(j):
-        return next(i for i in range(rows) if a[i][j] != 0)
-    kept.sort(key=pivot_row)
-    return QMatrix._make(tuple(tuple(r[j] for j in kept) for r in a), 1, len(kept))
+    # the pivot columns come first, by pivot row; every later column is zero
+    return QMatrix._make(tuple(tuple(r[:pivot_col]) for r in a), 1, pivot_col)
 
 
 def _is_square_hermite(m: QMatrix) -> bool:
@@ -502,11 +498,20 @@ def hnf_rational(m: QMatrix) -> QMatrix:
     return QMatrix._make(h.num, m.den, h.cols)
 
 
-def integer_kernel(m: QMatrix) -> QMatrix:
-    """Basis of { x in Z^cols : m @ x = 0 }, read off the column Hermite form
-    of [num; I]: its columns span { (num x, x) }, and those whose top block
-    vanishes span the kernel, read below it.  Saturated by construction."""
+def hermite_transform(m: QMatrix) -> tuple[QMatrix, QMatrix]:
+    """(H, V) with [H; V] the column Hermite form of [m; I] for an integer m:
+    V is unimodular, m V = H, H's first rank(m) columns hold its pivots and
+    the rest are 0, and V's last columns below them span ker m.  So for a
+    k x n m with k <= n, the diagonal of H's leading k x k block multiplies
+    to the product of m's Smith divisors, which is 0 on a rank deficit."""
+    if not m.is_integer():
+        raise ValueError("hermite_transform requires integer entries")
     h = hnf_columns(QMatrix._make(m.num + QMatrix.identity(m.cols).num, 1, m.cols))
-    # pivot rows increase along h, so the kernel columns come last
-    rank = sum(1 for j in range(h.cols) if any(row[j] for row in h.num[:m.rows]))
-    return h.block(slice(m.rows, None), slice(rank, None))
+    return h.block(slice(m.rows)), h.block(slice(m.rows, None))
+
+
+def integer_kernel(m: QMatrix) -> QMatrix:
+    """Basis of { x in Z^cols : m @ x = 0 }: the last columns of V in the
+    Hermite transform of den * m.  Saturated by construction."""
+    h, v = hermite_transform(m.numerators())
+    return v.block(cols=slice(sum(map(any, zip(*h.num))), None))

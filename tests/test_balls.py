@@ -6,7 +6,7 @@ from math import isqrt
 
 import pytest
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, from_rational, round_nearest, round_up
+from mpmath.libmp import from_int, from_man_exp, from_rational, mpf_div, round_nearest, round_up
 
 from motive_height import balls, cli, hodge
 from motive_height.balls import (
@@ -295,6 +295,39 @@ def test_decimal_exponent_is_bounded_before_ten_to_it_is_formed():
 # ---------------------------------------------------------------------------
 # the one rounding rule of the scalar operations
 # ---------------------------------------------------------------------------
+
+def rounded_by_mpf_division(n, e, d, r, er):
+    """(mid, rad) of the ball (n 2^e ± r 2^er) / d, each part rounded by one
+    mpf division, as the rounding rule was first written."""
+    prec = balls._prec()
+    sign, man, exp, _ = mid = mpf_div(from_man_exp(n, e), from_int(d), prec, round_nearest)
+    c = min(e, er, exp)
+    r = (r << (er - c)) + abs((n << (e - c)) - d * ((-man if sign else man) << (exp - c)))
+    return mid, mpf_div(from_man_exp(r, c), from_int(d), prec, round_up)
+
+
+def test_rounding_by_integer_division_matches_mpf_division(rng):
+    # n = 0, r = 0 and negative n; d = 1, 2^k, 5^k, 10^k or any; an odd n
+    # one bit wider than the precision over d = 1 or 2^k is a tie to even
+    denominators = (lambda: 1, lambda: 2 ** rng.randint(1, 300),
+                    lambda: 5 ** rng.randint(1, 120), lambda: 10 ** rng.randint(1, 100),
+                    lambda: rng.randint(1, 2 ** rng.randint(1, 400)))
+    cases = 0
+    for bits in (64, 128, 256):
+        with working_precision(bits):
+            for _ in range(7000):
+                tie = 2 ** balls._prec() + 2 * rng.getrandbits(balls._prec() - 1) + 1
+                n = rng.choice([0, rng.randint(-2 ** 40, 2 ** 40),
+                                rng.randint(-2 ** 600, 2 ** 600), tie, -tie])
+                r = rng.choice([0, rng.randint(0, 2 ** 20), rng.randint(0, 2 ** 500)])
+                d = rng.choice(denominators)()
+                e, er = rng.randint(-400, 100), rng.randint(-400, 100)
+                ball = balls._rounded(n, e, d, r, er)
+                assert (ball.mid._mpf_, ball.rad._mpf_) == \
+                    rounded_by_mpf_division(n, e, d, r, er), (n, e, d, r, er)
+                cases += 1
+    assert cases >= 20000
+
 
 def test_radius_terms_are_rounded_up():
     # 1 + 2^-200 does not fit 128 bits: a radius sum rounded to nearest came

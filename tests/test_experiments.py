@@ -8,12 +8,12 @@ from motive_height.balls import ComplexBall
 from motive_height.experiments import (
     IncompatibleSpec,
     QuotientSpec,
+    _kernel_mod,
     _rank_and_index,
     abc_report,
     check_s_equals_t,
     full_quotient_spec,
     invariance_experiment,
-    kernel_mod,
     n_of_m,
     s_invariant,
     sublattice_motive,
@@ -31,8 +31,10 @@ from motive_height.motive import (
     tate_twist,
     validate,
 )
-from motive_height.rational import QMatrix, hnf_rational
+from motive_height.lines import Lattice
+from motive_height.rational import QMatrix, hermite_transform, hnf_rational, smith_normal_form
 from conftest import block_projection_spec, random_int_matrix, random_motive, random_unimodular
+from quotient_oracle import kernel_mod, surjectivity_verdict
 from test_rational import minor_gcd_divisors
 
 
@@ -104,6 +106,40 @@ def test_kernel_mod_membership(rng):
         k = kernel_mod(a, q)
         assert k.cols == a.cols and (a @ k).scale(Fraction(1, q)).is_integer()
         assert abs(k.det()) == math.prod(q // math.gcd(d, q) for d in minor_gcd_divisors(a))
+
+
+def _map_with_divisors(rng, divisors, n):
+    """U [diag(divisors) | 0] U' for random unimodular U, U': a k x n integer
+    map with exactly these Smith divisors (a chain d_1 | ... | d_k)."""
+    k = len(divisors)
+    diag = QMatrix([[divisors[i] if i == j else 0 for j in range(n)] for i in range(k)])
+    return random_unimodular(rng, k) @ diag @ random_unimodular(rng, n)
+
+
+def test_transform_kernels_equal_kernel_mod(rng):
+    # q_betti-like maps (onto Z^k) and q_dr-like maps (Smith divisors prime
+    # to p, not all 1): V diag(p^e I_k, I) spans ker(a mod p^e) for e = 0..3
+    kinds = {"onto": 0, "prime to p": 0}
+    for t in range(320):
+        p = rng.choice([2, 3, 5, 7])
+        n = rng.randint(1, 6)
+        k = rng.randint(1, n)
+        divisors = [1] * k
+        if t % 2:
+            while divisors[-1] == 1:
+                divisors = [1] * k
+                for i in range(k):
+                    c = rng.choice([c for c in (1, 1, 2, 3, 5, 7) if c != p])
+                    divisors[i:] = [d * c for d in divisors[i:]]
+        a = _map_with_divisors(rng, divisors, n)
+        assert smith_normal_form(a) == tuple(divisors)
+        kinds["prime to p" if t % 2 else "onto"] += 1
+        _, v = hermite_transform(a)
+        for e in range(4):
+            kb = _kernel_mod(v, k, p ** e)
+            assert Lattice(kb) == Lattice(kernel_mod(a, p ** e)), (a, p, e)
+            assert abs(kb.det()) == p ** (e * k)
+    assert min(kinds.values()) >= 150
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +309,112 @@ def test_q_dr_with_smith_divisors_one_p_rejected():
                        good.filtration_u, 1)
     with pytest.raises(IncompatibleSpec, match="q_dr is not surjective at p"):
         validate_spec(m, bad)
+
+
+def _rebased(rng, k: int, det_kind: str) -> QMatrix:
+    """A k x k integer matrix U diag(c, 1, ..., 1) U' with det c = ±1, prime
+    to p, divisible by p or 0 (a rank deficit)."""
+    c = {"unit": 1, "prime to p": rng.choice([2, 4, 6]),
+         "p-divisible": 3 * rng.choice([1, 2]), "singular": 0}[det_kind]
+    diag = QMatrix([[c if i == j == 0 else int(i == j) for j in range(k)] for i in range(k)])
+    return random_unimodular(rng, k) @ diag @ random_unimodular(rng, k)
+
+
+def _valid_specs(rng):
+    """(motive, accepted spec) at p = 3: full quotients (k = n) and block
+    projections of direct sums (k < n)."""
+    ell = elliptic_curve_h1(ComplexBall.one(), ComplexBall.from_rationals(0, 1), ap={3: 1})
+    tate = tate_motive(1, fl_primes=(3,))
+    cases = [(ell, full_quotient_spec(ell, 3)), (tate, full_quotient_spec(tate, 3))]
+    for weight in (0, 0, 1):
+        m1 = random_motive(rng, weight=weight, primes=(3,), max_rank=2, label="A")
+        m2 = random_motive(rng, weight=weight, dims=dict(m1.type.hodge_numbers),
+                           primes=(3,), max_rank=2, label="B")
+        msum = direct_sum(m1, m2)
+        cases.append((msum, block_projection_spec(msum, m2, 3)))
+    for m, spec in cases:
+        validate_spec(m, spec)
+    return cases
+
+
+def _verdict(m, spec):
+    try:
+        validate_spec(m, spec)
+    except IncompatibleSpec as exc:
+        return str(exc)
+    return None
+
+
+def test_validate_spec_decides_surjectivity_by_the_smith_rules(rng):
+    # q_dr -> A q_dr and q_betti -> B q_betti, with phi_U and U^i carried
+    # along by an invertible A, keep every other condition: the Smith-divisor
+    # rules then decide the whole verdict.  Maps with k > n, and raw random
+    # maps whose later checks may fail for other reasons, ride along
+    cases = _valid_specs(rng)
+    verdicts = {}
+    for t in range(300):
+        m, good = cases[t % len(cases)]
+        k, n = good.k, m.rank
+        if t % 10 == 9:  # k > n or raw maps: only a surjectivity failure is predicted
+            k = n + 1 if t % 20 == 9 else k
+            q_dr, q_betti = random_int_matrix(rng, k, n, 2), random_int_matrix(rng, k, n, 2)
+            spec = QuotientSpec(3, k, q_dr, q_betti, QMatrix.identity(k), (), 1)
+        else:
+            a = _rebased(rng, k, rng.choice(["unit", "prime to p", "p-divisible", "singular"]))
+            b = _rebased(rng, k, rng.choice(["unit", "unit", "prime to p", "singular"]))
+            phi_u, fil_u = good.phi_u, good.filtration_u
+            if a.det():
+                phi_u = a @ good.phi_u @ a.inverse()
+                fil_u = tuple((i, a @ u) for i, u in good.filtration_u)
+            spec = QuotientSpec(3, k, a @ good.q_dr, b @ good.q_betti, phi_u, fil_u, 1)
+        want = surjectivity_verdict(spec.q_dr, spec.q_betti, 3, spec.k)
+        got = _verdict(m, spec)
+        if want is not None or t % 10 != 9:
+            assert got == want, (spec, want, got)
+        else:
+            assert got is None or "surjective" not in got
+        verdicts[want] = verdicts.get(want, 0) + 1
+    assert min(verdicts.values()) >= 40 and len(verdicts) == 3, verdicts
+
+
+def test_invariance_experiment_reads_each_quotient_map_once(monkeypatch, rng):
+    # one Hermite transform of q_betti and one of q_dr per experiment, and
+    # no Smith form or integer kernel of either
+    import motive_height.experiments as experiments_mod
+    import motive_height.fl as fl_mod
+    import motive_height.rational as rational_mod
+
+    transforms, others = [], []
+
+    def counting(name, fn, seen):
+        def wrapper(a):
+            seen.append((name, a))
+            return fn(a)
+        return wrapper
+
+    monkeypatch.setattr(experiments_mod, "hermite_transform",
+                        counting("hermite_transform", hermite_transform, transforms))
+    for module in (experiments_mod, fl_mod, rational_mod):
+        for name in ("smith_normal_form", "integer_kernel"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counting(name, getattr(rational_mod, name), others))
+    cases = _valid_specs(rng)
+    transforms.clear()
+    for m, spec in cases:
+        for n_exp in (1, 2):
+            fresh = MotiveData(m.type, m.period, m.local, m.bad_primes, label=m.label)
+            transforms.clear()
+            others.clear()
+            rep = invariance_experiment(fresh, spec, n_exp)
+            assert rep.passed, rep.messages
+            assert [a for _, a in transforms] == [spec.q_betti, spec.q_dr]
+            assert transforms[0][1] is spec.q_betti and transforms[1][1] is spec.q_dr
+            assert not [name for name, a in others if a in (spec.q_dr, spec.q_betti)]
+            # a second experiment on the same motive reads neither map again
+            transforms.clear()
+            assert invariance_experiment(fresh, spec, n_exp).passed
+            assert transforms == []
 
 
 def _elliptic_spec_with_u0(u0: QMatrix):

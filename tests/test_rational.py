@@ -8,6 +8,7 @@ import pytest
 from motive_height.documents import _matrix
 from motive_height.rational import (
     QMatrix,
+    hermite_transform,
     hnf_columns,
     hnf_rational,
     integer_kernel,
@@ -399,3 +400,31 @@ def test_empty_shape_rules():
     for n, m in ((3, 2), (0, 2), (2, 0), (0, 0)):
         assert QMatrix.zeros(n, 0) @ QMatrix.zeros(0, m) == QMatrix.zeros(n, m)
     assert QMatrix.zeros(0, 0).det() == 1
+
+
+def test_hermite_transform_reads_rank_divisors_and_kernel(rng):
+    # m V = H with V unimodular; H's first r = rank m columns are nonzero
+    # and the rest are zero; for k <= n the diagonal of H's leading k x k block
+    # multiplies to d_1 ... d_k (0 on a rank deficit), and V's last n - r
+    # columns are the integer kernel
+    deficient = 0
+    for _ in range(300):
+        k, n = rng.randint(0, 5), rng.randint(0, 5)
+        m = random_int_matrix(rng, k, n, bound=rng.choice([1, 3, 9])) if k \
+            else QMatrix.zeros(0, n)
+        if k > 1 and n and rng.random() < 0.3:  # a repeated row: rank < k
+            m = QMatrix(m.num[:-1] + m.num[:1])
+        h, v = hermite_transform(m)
+        assert (h.rows, h.cols, v.rows, v.cols) == (k, n, n, n)
+        assert m @ v == h and abs(v.det()) == 1
+        divisors = smith_normal_form(m)
+        rank = sum(1 for d in divisors if d)
+        assert all(any(row[j] for row in h.num) for j in range(rank))
+        assert not any(any(row[rank:]) for row in h.num)
+        assert v.block(cols=slice(rank, None)) == integer_kernel(m)
+        if k <= n:
+            assert math.prod(h.num[i][i] for i in range(k)) == math.prod(divisors)
+            deficient += rank < k
+    assert deficient >= 20
+    with pytest.raises(ValueError, match="integer entries"):
+        hermite_transform(QMatrix([[Fraction(1, 2)]]))
