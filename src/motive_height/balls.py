@@ -132,8 +132,8 @@ def _parts(x) -> tuple[int, int, int]:
 
 
 def _quotient(n: int, e: int, d: int, prec: int, rnd) -> tuple:
-    """n 2^e / d (d > 0) rounded once at prec bits: an integer quotient of at
-    least prec + 1 bits and a sticky bit for its remainder round as it does."""
+    """n 2^e / d (d > 0) rounded once at prec bits: a quotient of at least prec + 1
+    bits, with a sticky last bit for a nonzero remainder, rounds as the exact value."""
     s = max(0, prec + 1 + d.bit_length() - n.bit_length())
     q, rem = divmod(MPZ(abs(n)) << s, d)
     return normalize(int(n < 0), q << 1 | (rem != 0), e - s - 1, q.bit_length() + 1, prec, rnd)

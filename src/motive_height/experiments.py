@@ -225,7 +225,8 @@ def sublattice_motive(m: MotiveData, spec: QuotientSpec,
     Same rational data and periods; the filtered module at p shrinks to the
     kernel lattice D' with the induced filtration D' ∩ D^i, which keeps the
     coordinate levels, the Betti lattice shrinks to ker(q_betti mod p^n)
-    and the period matrix is rewritten in a basis of the new lattice.
+    and the period matrix is rewritten in a basis of the new lattice.  Both
+    kernels come from the Hermite transforms that ``validate_spec`` kept.
     """
     n_exp = spec.exponent if n is None else int(n)
     if n_exp < 0:
@@ -235,7 +236,6 @@ def sublattice_motive(m: MotiveData, spec: QuotientSpec,
         return m
     p = spec.p
     fl = m.local[p]
-    # D- and Betti coordinates, from the transforms validate_spec kept
     kd, kb = (_kernel_mod(v, spec.k, p ** n_exp) for v in m._cache["quotient", spec])
     new_lattice = Lattice(fl.lattice.basis @ kd)      # ambient
     new_fl = FilPhiModule(p, new_lattice, fl.phi, fl.levels, fl.window)

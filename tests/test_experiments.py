@@ -119,7 +119,6 @@ def _map_with_divisors(rng, divisors, n):
 def test_transform_kernels_equal_kernel_mod(rng):
     # q_betti-like maps (onto Z^k) and q_dr-like maps (Smith divisors prime
     # to p, not all 1): V diag(p^e I_k, I) spans ker(a mod p^e) for e = 0..3
-    kinds = {"onto": 0, "prime to p": 0}
     for t in range(320):
         p = rng.choice([2, 3, 5, 7])
         n = rng.randint(1, 6)
@@ -133,13 +132,11 @@ def test_transform_kernels_equal_kernel_mod(rng):
                     divisors[i:] = [d * c for d in divisors[i:]]
         a = _map_with_divisors(rng, divisors, n)
         assert smith_normal_form(a) == tuple(divisors)
-        kinds["prime to p" if t % 2 else "onto"] += 1
         _, v = hermite_transform(a)
         for e in range(4):
             kb = _kernel_mod(v, k, p ** e)
             assert Lattice(kb) == Lattice(kernel_mod(a, p ** e)), (a, p, e)
             assert abs(kb.det()) == p ** (e * k)
-    assert min(kinds.values()) >= 150
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +309,9 @@ def test_q_dr_with_smith_divisors_one_p_rejected():
 
 
 def _rebased(rng, k: int, det_kind: str) -> QMatrix:
-    """A k x k integer matrix U diag(c, 1, ..., 1) U' with det c = ±1, prime
-    to p, divisible by p or 0 (a rank deficit)."""
-    c = {"unit": 1, "prime to p": rng.choice([2, 4, 6]),
+    """A k x k integer matrix U diag(c, 1, ..., 1) U' whose determinant ±c is
+    a unit, prime to p = 3, divisible by 3, or 0 (a rank deficit)."""
+    c = {"unit": 1, "prime to p": rng.choice([2, 4, 5]),
          "p-divisible": 3 * rng.choice([1, 2]), "singular": 0}[det_kind]
     diag = QMatrix([[c if i == j == 0 else int(i == j) for j in range(k)] for i in range(k)])
     return random_unimodular(rng, k) @ diag @ random_unimodular(rng, k)
@@ -400,7 +397,6 @@ def test_invariance_experiment_reads_each_quotient_map_once(monkeypatch, rng):
                 monkeypatch.setattr(module, name,
                                     counting(name, getattr(rational_mod, name), others))
     cases = _valid_specs(rng)
-    transforms.clear()
     for m, spec in cases:
         for n_exp in (1, 2):
             fresh = MotiveData(m.type, m.period, m.local, m.bad_primes, label=m.label)
